@@ -321,9 +321,8 @@ def _print_paradox_text(report: ContradictionReport) -> None:
 
 
 def _cmd_paradox(args) -> int:
-    enumerate_models = False if args.skip_enumeration else None
     try:
-        report = run_paradox(args.N, enumerate_models=enumerate_models)
+        report = run_paradox(args.N, enumerate_models=not args.skip_enumeration)
     except ComputationIntegrityError as exc:
         _fail("paradox-mismatch", str(exc))
         return _EXIT_MISMATCH
@@ -394,6 +393,17 @@ def _cmd_examples(args) -> int:
 # --- dispatch ---------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: the generator takes non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzport",
@@ -427,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("sample", help="seeded outcome sampling")
     sub.add_argument("scenario", help="scenario file (JSON)")
     sub.add_argument("--shots", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_seed, default=None)
     add_format(sub)
     sub.set_defaults(handler=_cmd_sample)
 

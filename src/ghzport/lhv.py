@@ -176,7 +176,6 @@ def _decode_model(index: int, catalog: SettingsCatalog) -> DeterministicModel:
 def count_satisfying(
     catalog: SettingsCatalog,
     constraints: Sequence[Constraint],
-    guard: int = MODEL_GUARD,
 ) -> CountResult:
     """Exact count of deterministic models meeting every constraint.
 
@@ -187,9 +186,9 @@ def count_satisfying(
     witness.
     """
     total = catalog.model_count
-    if total > guard:
+    if total > MODEL_GUARD:
         raise ResourceLimitError(
-            f"{total} deterministic models exceeds the search guard of {guard}"
+            f"{total} deterministic models exceeds the search guard of {MODEL_GUARD}"
         )
     for constraint in constraints:
         catalog.validate_pattern(constraint.pattern)

@@ -170,16 +170,13 @@ class ContradictionReport:
 
 
 def run_scenario(
-    scenario: ParadoxScenario,
-    enumerate_models: Optional[bool] = None,
-    model_guard: int = MODEL_GUARD,
+    scenario: ParadoxScenario, enumerate_models: bool = True
 ) -> ContradictionReport:
     """Verify the quantum classes, derive the LHV-forced value, and (within
     the guard) exhaustively count the surviving deterministic models.
 
-    ``enumerate_models``: None runs the exhaustive stage when affordable and
-    skips it with a notice otherwise; False skips it; True insists and raises
-    ResourceLimitError beyond the guard.
+    ``enumerate_models``: True runs the exhaustive stage when the model count
+    is within MODEL_GUARD and skips it with a notice otherwise; False skips it.
     """
     started = time.perf_counter()
     classes = verify_quantum(scenario)
@@ -198,21 +195,18 @@ def run_scenario(
     witness = None
     note = None
     model_count = scenario.catalog.model_count
-    if enumerate_models is False:
+    if not enumerate_models:
         note = "exhaustive stage skipped on request; verdict rests on the algebraic stage"
-    elif enumerate_models is None and model_count > model_guard:
+    elif model_count > MODEL_GUARD:
         note = (
             f"exhaustive stage skipped: {model_count} deterministic models exceeds "
-            f"the search guard of {model_guard}; verdict rests on the algebraic stage"
+            f"the search guard of {MODEL_GUARD}; verdict rests on the algebraic stage"
         )
     else:
-        swap_result: CountResult = count_satisfying(
-            scenario.catalog, constraints, guard=model_guard
-        )
+        swap_result: CountResult = count_satisfying(scenario.catalog, constraints)
         full_result = count_satisfying(
             scenario.catalog,
             constraints + [Constraint(target.pattern, target.expected)],
-            guard=model_guard,
         )
         swap_count, witness = swap_result.count, swap_result.witness
         full_count = full_result.count
@@ -230,14 +224,6 @@ def run_scenario(
     )
 
 
-def run_paradox(
-    particles: int,
-    enumerate_models: Optional[bool] = None,
-    model_guard: int = MODEL_GUARD,
-) -> ContradictionReport:
+def run_paradox(particles: int, enumerate_models: bool = True) -> ContradictionReport:
     """Build and run the standard N = M+1 scenario."""
-    return run_scenario(
-        build_scenario(particles),
-        enumerate_models=enumerate_models,
-        model_guard=model_guard,
-    )
+    return run_scenario(build_scenario(particles), enumerate_models=enumerate_models)

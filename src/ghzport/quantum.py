@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ from .angles import (
     PROBABILITY_TOLERANCE,
     TAU,
     UNIT_TOLERANCE,
+    _INT64_MAX,
     PhaseAngle,
     Residue,
     _checked,
@@ -58,11 +60,11 @@ class ExperimentConfig:
         return self.ports**self.particles
 
 
-def _ensure_enumerable(cfg: ExperimentConfig, guard: int = ENUMERATION_GUARD) -> None:
-    if cfg.outcome_count > guard:
+def _ensure_enumerable(cfg: ExperimentConfig) -> None:
+    if cfg.outcome_count > ENUMERATION_GUARD:
         raise ResourceLimitError(
             f"M**N = {cfg.ports}**{cfg.particles} = {cfg.outcome_count} outcomes "
-            f"exceeds the enumeration guard of {guard}"
+            f"exceeds the enumeration guard of {ENUMERATION_GUARD}"
         )
 
 
@@ -108,12 +110,6 @@ class PhaseSettings:
 
     def float_matrix(self) -> np.ndarray:
         return np.array([[angle.radians for angle in row] for row in self.rows])
-
-    def turns_matrix(self) -> Optional[list]:
-        """Exact fractions-of-a-turn table, or None unless every entry is exact."""
-        if not self.all_exact:
-            return None
-        return [[angle.turns for angle in row] for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -331,21 +327,41 @@ def correlation_brute(
     return CorrelationValue(complex(value))
 
 
-def _exact_exponent_sums(turns, ports: int) -> list:
-    """Closed-form exponents sum_l (phi_l^m - phi_l^(m+1)) as exact fractions.
+def _closed_form_exponents(settings: PhaseSettings):
+    """The M closed-form exponents sum_l (phi_l^m - phi_l^(m+1)), one per m.
 
-    Exponent m of the closed form, one fraction of a turn per m, with the
-    wraparound column m = M-1 using phi^M - phi^1. Their total telescopes to
-    zero modulo one turn.
+    The wraparound column m = M-1 uses phi^M - phi^1, so the exponents
+    telescope to zero modulo one turn. When every phase is exact, returns
+    ``(numerators, D)``: exponent m is numerators[m]/D of a turn in [0, 1),
+    over the lcm D of the phase denominators, taken from the column sums S_m
+    as (S_m - S_(m+1)) mod D. Otherwise returns ``(phases, None)``, the M unit
+    phases exp(i * exponent) on the floating track.
     """
-    particles = len(turns)
-    sums = []
-    for m in range(ports):
-        total = Fraction(0)
-        for l in range(particles):
-            total += turns[l][m] - turns[l][(m + 1) % ports]
-        sums.append(_checked(total % 1))
-    return sums
+    if not settings.all_exact:
+        phi = settings.float_matrix()
+        deltas = phi - np.roll(phi, -1, axis=1)
+        return np.exp(1j * deltas.sum(axis=0)), None
+    denominator = math.lcm(*(a.turns.denominator for row in settings.rows for a in row))
+    sums = [0] * settings.ports
+    for row in settings.rows:
+        for m, angle in enumerate(row):
+            sums[m] += angle.turns.numerator * (denominator // angle.turns.denominator)
+    numerators = [(s - t) % denominator for s, t in zip(sums, sums[1:] + sums[:1])]
+    if denominator > _INT64_MAX:  # only then can a reduced exponent leave the range
+        for e in numerators:
+            _checked(Fraction(e, denominator))
+    return numerators, denominator
+
+
+def _exact_class(numerators: list, denominator: int, ports: int) -> Optional[Residue]:
+    """Class k when all M exact exponents agree, so that E = gamma_M^k.
+
+    Agreeing exponents are each exactly k/M of a turn, because the M of them
+    telescope to zero modulo one turn.
+    """
+    if any(e != numerators[0] for e in numerators):
+        return None
+    return Residue(numerators[0] * ports // denominator, ports)
 
 
 def correlation_closed(
@@ -354,25 +370,16 @@ def correlation_closed(
     """Correlation in closed form: (1/M) sum_m exp(i sum_l phi_l^(m,m+1)).
 
     Costs O(N*M) with no enumeration guard. When every input phase carries an
-    exact rational part the exponents are computed exactly and, if all M of
-    them agree, the correlation is exactly a Bell number and its class is
-    attached.
+    exact rational part the exponents are computed exactly, as integers over
+    a common denominator, and, if all M of them agree, the correlation is
+    exactly a Bell number and its class is attached.
     """
     _check_settings(cfg, settings)
-    turns = settings.turns_matrix()
-    if turns is not None:
-        exponents = _exact_exponent_sums(turns, cfg.ports)
-        value = sum(cmath.exp(1j * TAU * float(e)) for e in exponents) / cfg.ports
-        exact_class = None
-        if all(e == exponents[0] for e in exponents):
-            scaled = exponents[0] * cfg.ports
-            if scaled.denominator == 1:  # guaranteed: the M exponents telescope
-                exact_class = Residue(scaled.numerator, cfg.ports)
-        return CorrelationValue(complex(value), exact_class)
-    phi = settings.float_matrix()
-    deltas = phi - np.roll(phi, -1, axis=1)
-    value = np.exp(1j * deltas.sum(axis=0)).mean()
-    return CorrelationValue(complex(value))
+    exponents, denominator = _closed_form_exponents(settings)
+    if denominator is None:
+        return CorrelationValue(complex(exponents.mean()))
+    value = sum(cmath.exp(1j * TAU * (e / denominator)) for e in exponents) / cfg.ports
+    return CorrelationValue(complex(value), _exact_class(exponents, denominator, cfg.ports))
 
 
 def perfect_correlation_class(
@@ -387,18 +394,9 @@ def perfect_correlation_class(
     within ``tol`` per unit-modulus component.
     """
     _check_settings(cfg, settings)
-    turns = settings.turns_matrix()
-    if turns is not None:
-        exponents = _exact_exponent_sums(turns, cfg.ports)
-        if any(e != exponents[0] for e in exponents):
-            return None
-        scaled = exponents[0] * cfg.ports
-        if scaled.denominator != 1:
-            return None
-        return Residue(scaled.numerator, cfg.ports)
-    phi = settings.float_matrix()
-    deltas = phi - np.roll(phi, -1, axis=1)
-    phases = np.exp(1j * deltas.sum(axis=0))
+    phases, denominator = _closed_form_exponents(settings)
+    if denominator is not None:
+        return _exact_class(phases, denominator, cfg.ports)
     candidate = round(float(np.angle(phases[0])) / (TAU / cfg.ports)) % cfg.ports
     root = unit_roots(cfg.ports)[candidate]
     if np.max(np.abs(phases - root)) <= tol:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .angles import PhaseAngle, Residue
-from .errors import RationalOverflowError, ScenarioError
+from .errors import ScenarioError
 from .lhv import Constraint, SettingsCatalog
 from .quantum import ExperimentConfig, PhaseSettings
 
@@ -73,7 +73,7 @@ def _parse_angle(value, where: str, collector: _Collector) -> Optional[PhaseAngl
         return None
     try:
         angle = PhaseAngle.parse(value)
-    except RationalOverflowError as exc:
+    except OverflowError as exc:  # RationalOverflowError, or an int too large for a float
         collector.error(f"{where}: {exc}")
         return None
     except ZeroDivisionError:
@@ -281,7 +281,7 @@ def _parse_sampling(block, collector):
     shots = _parse_int(block, "shots", "sampling", collector, minimum=1)
     seed = 0
     if "seed" in block:
-        parsed = _parse_int(block, "seed", "sampling", collector, minimum=-(2**63))
+        parsed = _parse_int(block, "seed", "sampling", collector, minimum=0)
         if parsed is not None:
             seed = parsed
     else:

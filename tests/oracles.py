@@ -8,6 +8,7 @@ paths, so that agreement between the two is evidence and not tautology.
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 TAU = 2.0 * math.pi
 
@@ -57,6 +58,34 @@ def naive_correlation(phi_rows, ports):
             value *= gamma**k
         total += value * naive_probability(phi_rows, ports, outcome)
     return total
+
+
+def closed_form_exponents(turn_rows, ports):
+    """Closed-form exponents sum_l (t_l^m - t_l^(m+1)) mod 1, as Fractions.
+
+    ``turn_rows`` holds each phase as a Fraction of a turn; the wraparound
+    column m = M-1 uses t^M - t^1. One plain Fraction addition per entry.
+    """
+    exponents = []
+    for m in range(ports):
+        total = Fraction(0)
+        for row in turn_rows:
+            total += row[m] - row[(m + 1) % ports]
+        exponents.append(total % 1)
+    return exponents
+
+
+def closed_correlation(turn_rows, ports):
+    """(value, class k or None) of (1/M) sum_m exp(2*pi*i*exponent_m).
+
+    The class is k when every exponent equals k/M of a turn.
+    """
+    exponents = closed_form_exponents(turn_rows, ports)
+    value = sum(cmath.exp(1j * TAU * float(e)) for e in exponents) / ports
+    klass = None
+    if len(set(exponents)) == 1 and (exponents[0] * ports).denominator == 1:
+        klass = int(exponents[0] * ports) % ports
+    return value, klass
 
 
 def naive_marginal(phi_rows, ports, station):

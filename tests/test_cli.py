@@ -132,6 +132,12 @@ class TestSample:
         assert code1 == code2 == 0
         assert out1.encode() == out2.encode()
 
+    def test_negative_seed_is_usage_error(self, capsys, pair_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", pair_path, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_missing_shots_is_an_error(self, capsys, tmp_path):
         doc = {"schema": "ghzport-scenario/1", "particles": 1, "ports": 2,
                "phases": [[0.0, 0.0]]}
@@ -203,6 +209,22 @@ class TestDispatch:
         assert code == 1
         assert "error [scenario]" in err
         assert "junk" in err
+
+    def test_huge_integer_phase_names_its_field(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"particles": 1, "ports": 2, "phases": [[%d, 0]]}' % 10**400,
+                        encoding="utf-8")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "ghzport", "correlate", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert "error [scenario]" in proc.stderr
+        assert "phases station 1 port 1:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_examples_listing_and_dump(self, capsys):
         code, out, _ = run_cli(capsys, "examples")

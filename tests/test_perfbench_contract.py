@@ -1,0 +1,49 @@
+"""The benchmark's traced run patches names in ghzport's modules.
+
+perfbench/layers.py wraps functions where ghzport.cli, ghzport.paradox and
+ghzport.quantum look them up as module globals. Renaming or removing one of
+those names breaks the traced run at import, and calling a function other
+than through its module global hides it from the trace. These tests load
+layers.py the way ``perfbench/run.py --trace 1`` does and check both.
+"""
+
+import importlib.util
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import ghzport.cli as cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture()
+def layers(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # layers.py prepends src/
+    path = ROOT / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patched_name_resolves(layers):
+    assert layers._ORIGINAL
+    for (module, name), original in layers._ORIGINAL.items():
+        assert callable(original), f"{module.__name__}.{name}"
+
+
+def test_call_sites_go_through_patched_names(layers):
+    tracer = layers.Tracer()
+    out, err = io.StringIO(), io.StringIO()
+    with layers.instrumented(tracer), redirect_stdout(out), redirect_stderr(err):
+        assert cli.main(["paradox", "--N", "4", "--format", "records"]) == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"paradox.run", "paradox.build", "paradox.verify_quantum",
+            "quantum.closed_exact", "lhv.forced", "lhv.count"} <= names
+    for (module, name), original in layers._ORIGINAL.items():
+        assert getattr(module, name) is original

@@ -5,10 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ghzport.angles import PhaseAngle, Residue
-from ghzport.errors import ComputationIntegrityError, ResourceLimitError
+from ghzport.errors import (
+    ComputationIntegrityError,
+    RationalOverflowError,
+    ResourceLimitError,
+)
 from ghzport.quantum import (
     ExperimentConfig,
     PhaseSettings,
@@ -297,6 +303,96 @@ class TestPerfectCorrelation:
         rows[2][1] = rows[2][1] + PhaseAngle.from_turns(Fraction(1, 7))
         settings = PhaseSettings(tuple(tuple(r) for r in rows))
         assert perfect_correlation_class(ExperimentConfig(4, 3), settings) is None
+
+
+#: Distinct primes just below 2**32: the lcm of any two exceeds 2**63 - 1.
+BIG_PRIMES = (4294967291, 4294967279, 4294967231)
+
+
+@st.composite
+def exact_tables(draw):
+    """(M, rows of Fraction turns): random "p/q" tables over prime and
+    composite M, some rows on denominators near 2**32, some constant rows
+    (which leave every exponent alone but grow the common denominator), and
+    half planted so that every exponent is the same k/M of a turn."""
+    ports = draw(st.integers(2, 12))
+    particles = draw(st.integers(1, 8))
+    plant = draw(st.booleans())
+    small = st.builds(Fraction, st.integers(0, 10**4),
+                      st.sampled_from((1, 2, ports, ports * ports, 6 * ports, 97)))
+    big = st.builds(Fraction, st.integers(1, 2**32), st.sampled_from(BIG_PRIMES))
+    kinds = draw(st.lists(st.sampled_from(("small", "big", "constant")),
+                          min_size=particles, max_size=particles))
+    if plant:
+        kinds = ["small" if kind == "big" else kind for kind in kinds]
+        kinds[-1] = "small"
+    rows = [[draw(big)] * ports if kind == "constant" else
+            [draw(small if kind == "small" else big) for _ in range(ports)]
+            for kind in kinds]
+    if plant:
+        k = draw(st.integers(0, ports - 1))
+        start = draw(small)
+        varied = [row for row, kind in zip(rows[:-1], kinds) if kind != "constant"]
+        columns = [sum(row[m] for row in varied) for m in range(ports)]
+        rows[-1] = [start - Fraction(m * k, ports) - columns[m] for m in range(ports)]
+    return ports, rows
+
+
+@st.composite
+def planted_float_tables(draw):
+    """(M, k, rows of radians) whose closed-form exponents all equal
+    2*pi*k/M up to rounding: the last row closes every column sum."""
+    ports = draw(st.integers(2, 12))
+    particles = draw(st.integers(1, 8))
+    k = draw(st.integers(0, ports - 1))
+    angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
+    rows = [[draw(angle) for _ in range(ports)] for _ in range(particles - 1)]
+    start = draw(angle)
+    columns = [sum(row[m] for row in rows) for m in range(ports)]
+    rows.append([start - 2 * math.pi * m * k / ports - columns[m] for m in range(ports)])
+    return ports, k, rows
+
+
+class TestClosedFormOracle:
+    """The closed form against the literal Fraction loop in oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_tables())
+    @example((3, [[Fraction(1, BIG_PRIMES[0])] * 3, [Fraction(1, BIG_PRIMES[1]), 0, 0]]))
+    @example((4, [[Fraction(1, BIG_PRIMES[0])] * 4, [Fraction(1, BIG_PRIMES[1])] * 4,
+                  [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]]))
+    def test_exact_track_matches_oracle(self, table):
+        ports, rows = table
+        phases = PhaseSettings.build([[PhaseAngle.from_turns(t) for t in row] for row in rows])
+        cfg = ExperimentConfig(len(rows), ports)
+        turns = [[angle.turns for angle in row] for row in phases.rows]
+        exponents = oracles.closed_form_exponents(turns, ports)
+        too_wide = [e for e in exponents if e.denominator > 2**63 - 1]
+        if too_wide:
+            message = f"rational angle {too_wide[0].numerator}/{too_wide[0].denominator} "
+            with pytest.raises(RationalOverflowError, match=message):
+                correlation_closed(cfg, phases)
+            with pytest.raises(RationalOverflowError, match=message):
+                perfect_correlation_class(cfg, phases)
+            return
+        value, klass = oracles.closed_correlation(turns, ports)
+        expected = None if klass is None else Residue(klass, ports)
+        result = correlation_closed(cfg, phases)
+        assert result.value == value  # bit-equal, not approximately
+        assert result.exact_class == expected
+        assert perfect_correlation_class(cfg, phases) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(planted_float_tables(), st.floats(1e-6, 0.1), st.floats(0.0, 1e-12))
+    def test_float_track_tolerance(self, table, off, within):
+        ports, k, rows = table
+        cfg = ExperimentConfig(len(rows), ports)
+        for shift, expected in ((within, Residue(k, ports)), (off, None)):
+            shifted = [row[:] for row in rows]
+            shifted[0][0] += shift
+            phases = PhaseSettings.build(shifted)
+            assert perfect_correlation_class(cfg, phases) == expected
+            assert correlation_closed(cfg, phases).exact_class is None
 
 
 class TestPredictLast:

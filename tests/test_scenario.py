@@ -147,6 +147,11 @@ class TestValidation:
         assert scenario.catalog.setting_counts == (1, 1)
         assert scenario.catalog.station_settings[0][0] == scenario.phases.rows[0]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario_data(minimal_doc(sampling={"shots": 10, "seed": -1}))
+        assert excinfo.value.errors == ["sampling: field 'seed' must be >= 0, got -1"]
+
     def test_sampling_defaults_seed_with_note(self):
         scenario = parse_scenario_data(minimal_doc(sampling={"shots": 10}))
         assert scenario.sampling == SamplingSpec(shots=10, seed=0)
