@@ -10,8 +10,8 @@ clock, errors) go to stderr. Error exits are machine-greppable one-liners of
 the form ``ghzport: error [code] message``.
 
 Exit codes: 0 success (for paradox: contradiction verified), 1 input or
-integrity error, 2 usage error, 3 enumeration guard exceeded, 4 paradox
-verdict mismatch.
+integrity error, 2 usage error, 3 enumeration guard exceeded or shots too
+many to hold in memory, 4 paradox verdict mismatch.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ class RationalOverflowError(GhzportError, OverflowError):
 
 
 class ResourceLimitError(GhzportError):
-    """An exhaustive-enumeration guard was exceeded."""
+    """An enumeration guard or the memory for the requested shots was exceeded."""
 
 
 class ComputationIntegrityError(GhzportError):

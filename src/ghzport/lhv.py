@@ -3,17 +3,17 @@
 A deterministic model assigns, to every (station, local setting) pair, one of
 the M Bell numbers; residues mod M carry the whole arithmetic since the
 product of assigned values is the sum of their exponents. The module can
-evaluate models against perfect-correlation constraints, exhaustively count
-the models satisfying a constraint set, and derive the value algebraically
-forced on one pattern by multiplying constraints side by side.
+evaluate models against perfect-correlation constraints, count exactly, over
+every model, those satisfying a constraint set (by joining two half-tables),
+and derive the value algebraically forced on one pattern by multiplying
+constraints side by side.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .angles import PhaseAngle, Residue
 from .errors import ResourceLimitError
@@ -21,8 +21,6 @@ from .quantum import PhaseSettings
 
 #: Exhaustive-search guard on the total deterministic model count.
 MODEL_GUARD = 10**8
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class SettingsCatalog:
                 f"pattern has {len(indices)} entries, expected {self.stations}"
             )
         for station, index in enumerate(indices):
-            if not isinstance(index, (int, np.integer)) or not (
+            if not isinstance(index, numbers.Integral) or not (
                 0 <= index < len(self.station_settings[station])
             ):
                 raise ValueError(
@@ -132,7 +130,7 @@ def model_value(model: DeterministicModel, pattern: Sequence[int]) -> Residue:
     total = 0
     for station, setting in enumerate(indices):
         values = model.assignments[station]
-        if not isinstance(setting, (int, np.integer)) or not 0 <= setting < len(values):
+        if not isinstance(setting, numbers.Integral) or not 0 <= setting < len(values):
             raise ValueError(
                 f"station {station + 1} setting index {setting!r} out of range"
             )
@@ -143,16 +141,6 @@ def model_value(model: DeterministicModel, pattern: Sequence[int]) -> Residue:
 def satisfies(model: DeterministicModel, constraints: Sequence[Constraint]) -> bool:
     """True iff the model meets every constraint."""
     return all(model_value(model, c.pattern) == c.required for c in constraints)
-
-
-def _cell_layout(catalog: SettingsCatalog):
-    """Flatten (station, setting) cells in lexicographic table order."""
-    cells = []
-    for station, count in enumerate(catalog.setting_counts):
-        for setting in range(count):
-            cells.append((station, setting))
-    index = {cell: position for position, cell in enumerate(cells)}
-    return cells, index
 
 
 def _decode_model(index: int, catalog: SettingsCatalog) -> DeterministicModel:
@@ -173,23 +161,7 @@ def _decode_model(index: int, catalog: SettingsCatalog) -> DeterministicModel:
     return DeterministicModel(ports, tuple(assignments))
 
 
-def count_satisfying(
-    catalog: SettingsCatalog,
-    constraints: Sequence[Constraint],
-) -> CountResult:
-    """Exact count of deterministic models meeting every constraint.
-
-    Enumerates the full model space in lexicographic order over the
-    assignment table (vectorized in fixed-size chunks, which leaves both the
-    count and the first-witness choice identical to a plain odometer walk).
-    Returns the count and, when positive, the lexicographically smallest
-    witness.
-    """
-    total = catalog.model_count
-    if total > MODEL_GUARD:
-        raise ResourceLimitError(
-            f"{total} deterministic models exceeds the search guard of {MODEL_GUARD}"
-        )
+def _check_constraints(catalog, constraints):
     for constraint in constraints:
         catalog.validate_pattern(constraint.pattern)
         if constraint.required.modulus != catalog.ports:
@@ -197,37 +169,64 @@ def count_satisfying(
                 f"constraint residue modulus {constraint.required.modulus} "
                 f"does not match the catalog's {catalog.ports} ports"
             )
-    if not constraints:
-        return CountResult(total, _decode_model(0, catalog))
+
+
+def _constraint_sums(cells, constraints, ports):
+    """Constraint sums mod M of every assignment to ``cells``, in lex order."""
+    sums = [(0,) * len(constraints)]
+    for station, setting in cells:
+        touched = [c.pattern[station] == setting for c in constraints]
+        sums = [
+            tuple((s + value) % ports if t else s for s, t in zip(row, touched))
+            for row in sums
+            for value in range(ports)
+        ]
+    return sums
+
+
+def count_satisfying(
+    catalog: SettingsCatalog,
+    constraints: Sequence[Constraint],
+) -> CountResult:
+    """Exact count over every deterministic model, by joining two half-tables.
+
+    The (station, setting) cells, in table order, split into a leading and a
+    trailing half; each half's assignments are listed in lexicographic order
+    as vectors of constraint sums mod M. A model satisfies every constraint
+    iff its trailing vector is ``required - leading`` mod M. The first leading
+    row with a match, joined to that match's first trailing row, is the
+    lexicographically smallest witness, returned when the count is positive.
+    """
+    total = catalog.model_count
+    if total > MODEL_GUARD:
+        raise ResourceLimitError(
+            f"{total} deterministic models exceeds the search guard of {MODEL_GUARD}"
+        )
+    _check_constraints(catalog, constraints)
 
     ports = catalog.ports
-    cells, cell_index = _cell_layout(catalog)
-    width = len(cells)
-    constraint_cells = [
-        [cell_index[(station, setting)] for station, setting in enumerate(c.pattern)]
-        for c in constraints
+    cells = [
+        (station, setting)
+        for station, count in enumerate(catalog.setting_counts)
+        for setting in range(count)
     ]
-    needed = sorted({pos for group in constraint_cells for pos in group})
-    place_values = {pos: ports ** (width - 1 - pos) for pos in needed}
+    half = len(cells) // 2
+    trailing = _constraint_sums(cells[half:], constraints, ports)
+    matches: dict = {}
+    for index, vector in enumerate(trailing):
+        hits, first = matches.get(vector, (0, index))
+        matches[vector] = (hits + 1, first)
 
+    required = [c.required.value for c in constraints]
     count = 0
     witness_index = None
-    for low in range(0, total, _CHUNK):
-        high = min(low + _CHUNK, total)
-        indices = np.arange(low, high, dtype=np.int64)
-        digits = {
-            pos: ((indices // place_values[pos]) % ports).astype(np.int64)
-            for pos in needed
-        }
-        mask = np.ones(high - low, dtype=bool)
-        for constraint, positions in zip(constraints, constraint_cells):
-            acc = np.zeros(high - low, dtype=np.int64)
-            for pos in positions:
-                acc += digits[pos]
-            mask &= (acc % ports) == constraint.required.value
-        count += int(mask.sum())
-        if witness_index is None and mask.any():
-            witness_index = low + int(np.argmax(mask))
+    for index, vector in enumerate(_constraint_sums(cells[:half], constraints, ports)):
+        hits, first = matches.get(
+            tuple((r - v) % ports for r, v in zip(required, vector)), (0, None)
+        )
+        count += hits
+        if hits and witness_index is None:
+            witness_index = index * len(trailing) + first
     witness = None if witness_index is None else _decode_model(witness_index, catalog)
     return CountResult(count, witness)
 
@@ -244,16 +243,11 @@ def ghz_forced_value(
     product is forced to the sum of the required residues; otherwise the
     multiplication proves nothing and None is returned.
     """
+    _check_constraints(catalog, constraints)
     ports = catalog.ports
     occurrences: dict = {}
     total = 0
     for constraint in constraints:
-        catalog.validate_pattern(constraint.pattern)
-        if constraint.required.modulus != ports:
-            raise ValueError(
-                f"constraint residue modulus {constraint.required.modulus} "
-                f"does not match the catalog's {ports} ports"
-            )
         for station, setting in enumerate(constraint.pattern):
             occurrences[(station, setting)] = occurrences.get((station, setting), 0) + 1
         total += constraint.required.value

@@ -173,7 +173,8 @@ def run_scenario(
     scenario: ParadoxScenario, enumerate_models: bool = True
 ) -> ContradictionReport:
     """Verify the quantum classes, derive the LHV-forced value, and (within
-    the guard) exhaustively count the surviving deterministic models.
+    the guard) count the surviving deterministic models: an exact count over
+    every model, by joining two half-tables.
 
     ``enumerate_models``: True runs the exhaustive stage when the model count
     is within MODEL_GUARD and skips it with a notice otherwise; False skips it.

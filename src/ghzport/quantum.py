@@ -451,8 +451,11 @@ def sample_outcomes(
     cdf = np.cumsum(distribution.lex_probabilities())
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    frequencies = np.bincount(draws, minlength=cfg.outcome_count)
+    try:
+        draws = np.searchsorted(cdf, rng.random(shots), side="right")
+        frequencies = np.bincount(draws, minlength=cfg.outcome_count)
+    except (MemoryError, ValueError):
+        raise ResourceLimitError(f"shots = {shots}: the draws do not fit in memory") from None
     classes = distribution.digit_sum_classes()
     roots = unit_roots(cfg.ports)
     estimate = complex((roots[classes] * frequencies).sum() / shots)

@@ -9,6 +9,17 @@ import pytest
 from ghzport.cli import main
 from ghzport.scenario import parse_scenario_data
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SCENARIOS = resources.files("ghzport").joinpath("scenarios")
+
+#: Commands whose stdout, in both formats, is pinned byte for byte in GOLDEN.
+GOLDEN_COMMANDS = {
+    "paradox-n4": ["paradox", "--N", "4"],
+    "paradox-n5": ["paradox", "--N", "5"],
+    "lhv-search-ghz-n4-m3": ["lhv-search", str(SCENARIOS / "ghz-n4-m3.json")],
+    "lhv-search-ghz-n5-m4": ["lhv-search", str(SCENARIOS / "ghz-n5-m4.json")],
+}
+
 
 @pytest.fixture()
 def ghz4_path(tmp_path):
@@ -36,6 +47,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, text=True):
+    """Run ``python -m ghzport`` in a child process against this source tree."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "ghzport", *argv],
+        capture_output=True, text=text, env=env,
+    )
 
 
 def records_of(out):
@@ -138,6 +160,16 @@ class TestSample:
         assert excinfo.value.code == 2
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shots", [10**17, 2**64])
+    def test_huge_shot_count_is_a_guard_error(self, shots):
+        proc = run_module("sample", str(SCENARIOS / "bell-epr-n2-m3.json"),
+                          "--shots", str(shots))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        (line,) = [l for l in proc.stderr.splitlines() if "error" in l]
+        assert line.startswith("ghzport: error [guard]")
+        assert "shots" in line
+
     def test_missing_shots_is_an_error(self, capsys, tmp_path):
         doc = {"schema": "ghzport-scenario/1", "particles": 1, "ports": 2,
                "phases": [[0.0, 0.0]]}
@@ -214,13 +246,7 @@ class TestDispatch:
         path = tmp_path / "huge.json"
         path.write_text('{"particles": 1, "ports": 2, "phases": [[%d, 0]]}' % 10**400,
                         encoding="utf-8")
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ghzport", "correlate", str(path)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_module("correlate", str(path))
         assert proc.returncode == 1
         assert "error [scenario]" in proc.stderr
         assert "phases station 1 port 1:" in proc.stderr
@@ -235,27 +261,22 @@ class TestDispatch:
         assert json.loads(out)["particles"] == 4
 
     def test_console_entry_point(self, ghz4_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ghzport", "paradox", "--N", "4"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_module("paradox", "--N", "4")
         assert proc.returncode == 0
         assert "VERIFIED" in proc.stdout
         assert "wall clock" in proc.stderr
 
     def test_stdout_byte_identical_for_paradox(self, ghz4_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         runs = [
-            subprocess.run(
-                [sys.executable, "-m", "ghzport", "paradox", "--N", "4",
-                 "--format", "records"],
-                capture_output=True, env=env,
-            )
+            run_module("paradox", "--N", "4", "--format", "records", text=False)
             for _ in range(2)
         ]
         assert runs[0].stdout == runs[1].stdout
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_stdout_matches_golden_file(self, name, fmt):
+        proc = run_module(*GOLDEN_COMMANDS[name], "--format", fmt, text=False)
+        assert proc.returncode == 0
+        with open(os.path.join(GOLDEN, f"{name}.{fmt}.txt"), "rb") as golden:
+            assert proc.stdout == golden.read()

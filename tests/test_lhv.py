@@ -2,11 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ghzport.angles import PhaseAngle, Residue
 from ghzport.errors import ResourceLimitError
 from ghzport.lhv import (
+    MODEL_GUARD,
     Constraint,
     DeterministicModel,
     SettingsCatalog,
@@ -22,6 +25,33 @@ def paradox_catalog():
     graded = tuple(PhaseAngle.from_turns(Fraction(j, 9)) for j in range(3))
     reference = tuple(PhaseAngle.from_turns(0) for _ in range(3))
     return SettingsCatalog(3, tuple((graded, reference) for _ in range(4)))
+
+
+@st.composite
+def lhv_problems(draw):
+    """(setting counts, M, [(pattern, required)]) over at most 2*10^4 models.
+
+    Patterns are sometimes reused, with the same residue (a repeat) or another
+    one (a contradiction); cells no pattern names are left free.
+    """
+    ports = draw(st.integers(2, 12))
+    budget = 1
+    while ports ** (budget + 1) <= 2 * 10**4:
+        budget += 1
+    stations = draw(st.integers(1, min(4, budget)))
+    counts = []
+    for left in range(stations - 1, -1, -1):
+        counts.append(draw(st.integers(1, min(3, budget - sum(counts) - left))))
+    constraints = []
+    for _ in range(draw(st.integers(0, 6))):
+        if constraints and draw(st.booleans()):
+            pattern, required = draw(st.sampled_from(constraints))
+            required = draw(st.sampled_from([required, (required + 1) % ports]))
+        else:
+            pattern = tuple(draw(st.integers(0, c - 1)) for c in counts)
+            required = draw(st.integers(0, ports - 1))
+        constraints.append((pattern, required))
+    return tuple(counts), ports, constraints
 
 
 def swap_constraints(particles=4, ports=3, required=2):
@@ -111,33 +141,38 @@ class TestCountSatisfying:
         with pytest.raises(ResourceLimitError, match="100000000"):
             count_satisfying(catalog, [])
 
-    def test_random_catalogs_match_oracle(self):
-        import numpy as np
+    def test_guard_boundary_is_counted(self):
+        row = (PhaseAngle.from_turns(0),) * 10
+        catalog = SettingsCatalog(10, tuple((row, row) for _ in range(4)))
+        assert catalog.model_count == MODEL_GUARD
+        result = count_satisfying(catalog, [
+            Constraint((0, 0, 0, 0), Residue(3, 10)),
+            Constraint((1, 1, 1, 1), Residue(5, 10)),
+        ])
+        assert result.count == 10**6
+        assert result.witness.assignments == ((0, 0), (0, 0), (0, 0), (3, 5))
 
-        rng = np.random.default_rng(3)
+    @settings(max_examples=200, deadline=None)
+    @given(lhv_problems())
+    @example(((2, 2), 4, [((0, 1), 2), ((0, 1), 2), ((1, 0), 1)]))
+    @example(((3, 1), 6, [((2, 0), 3), ((2, 0), 4)]))
+    @example(((2, 1, 1), 8, [((1, 0, 0), 7), ((0, 0, 0), 0)]))
+    @example(((1, 2, 1), 9, [((0, 1, 0), 4), ((0, 1, 0), 4), ((0, 0, 0), 8)]))
+    @example(((1, 2), 12, [((0, 1), 11), ((0, 1), 0)]))
+    def test_random_catalogs_match_oracle(self, problem):
+        counts, ports, pairs = problem
         zero = PhaseAngle.from_turns(0)
-        for _ in range(10):
-            stations = int(rng.integers(1, 4))
-            ports = int(rng.integers(2, 4))
-            counts = [int(rng.integers(1, 3)) for _ in range(stations)]
-            catalog = SettingsCatalog(
-                ports, tuple(tuple(((zero,) * ports,) * c) for c in counts)
-            )
-            constraints = []
-            for _ in range(int(rng.integers(0, 3))):
-                pattern = tuple(int(rng.integers(0, c)) for c in counts)
-                constraints.append(
-                    Constraint(pattern, Residue(int(rng.integers(0, ports)), ports))
-                )
-            expected, first = oracles.enumerate_models(
-                tuple(counts), ports, [(c.pattern, c.required.value) for c in constraints]
-            )
-            result = count_satisfying(catalog, constraints)
-            assert result.count == expected
-            if expected:
-                assert result.witness.assignments == first
-            else:
-                assert result.witness is None
+        catalog = SettingsCatalog(
+            ports, tuple(tuple(((zero,) * ports,) * c) for c in counts)
+        )
+        constraints = [Constraint(p, Residue(r, ports)) for p, r in pairs]
+        expected, first = oracles.enumerate_models(counts, ports, pairs)
+        result = count_satisfying(catalog, constraints)
+        assert result.count == expected
+        if expected:
+            assert result.witness.assignments == first
+        else:
+            assert result.witness is None
 
 
 class TestForcedValue:
