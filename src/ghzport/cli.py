@@ -92,9 +92,20 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
-def _outcome_label(outcome) -> list:
-    """Detector tuples leave the tool 1-based."""
-    return [k + 1 for k in outcome]
+def _digit_labels(ports: int) -> list:
+    """Detector indices leave the tool 1-based."""
+    return [str(k + 1) for k in range(ports)]
+
+
+def _table_lines(distribution, head: str, tails: list):
+    """One string per (N-1)-digit prefix: the lines of its M outcomes in lex
+    order, each head + 1-based detector labels + the tail of its class."""
+    ports = distribution.config.ports
+    labels = _digit_labels(ports)
+    for prefix, shift in distribution.prefix_classes():
+        start = head + "".join([labels[k] + ", " for k in prefix])
+        rotated = tails[shift:] + tails[:shift]
+        yield "".join([start + label + tail for label, tail in zip(labels, rotated)])
 
 
 # --- subcommands -----------------------------------------------------------
@@ -130,22 +141,18 @@ def _scenario_header_text(scenario: Scenario) -> None:
 def _cmd_probability(args) -> int:
     scenario = _load_scenario(args)
     distribution = full_distribution(scenario.config, scenario.phases)
+    probs = distribution.class_probabilities().tolist()
     if args.format == "records":
         _emit_record(_run_record("probability", scenario=scenario_to_data(scenario)))
-        for outcome in distribution:
-            _emit_record({
-                "record": "probability",
-                "detectors": _outcome_label(outcome),
-                "p": distribution[outcome],
-            })
+        sys.stdout.writelines(_table_lines(
+            distribution, '{"record": "probability", "detectors": [',
+            [f'], "p": {p!r}}}\n' for p in probs]))
         _emit_record({"record": "probability-total", "total": distribution.total})
         return _EXIT_OK
     _scenario_header_text(scenario)
     _emit()
     _emit("joint detection probabilities (detector labels are 1-based):")
-    for outcome in distribution:
-        label = ", ".join(str(k + 1) for k in outcome)
-        _emit(f"  ({label})  p = {distribution[outcome]:.12g}")
+    sys.stdout.writelines(_table_lines(distribution, "  (", [f")  p = {p:.12g}\n" for p in probs]))
     _emit(f"total = {distribution.total:.12g}")
     return _EXIT_OK
 
@@ -197,6 +204,9 @@ def _cmd_sample(args) -> int:
         _fail("invalid", "sample needs --shots or a sampling block in the scenario")
         return _EXIT_ERROR
     result = sample_outcomes(scenario.config, scenario.phases, shots, seed)
+    labels = _digit_labels(scenario.config.ports)
+    rows = ((", ".join([labels[k] for k in outcome]), count)
+            for outcome, count in result.counts.items())
     if args.format == "records":
         _emit_record(_run_record("sample", scenario=scenario_to_data(scenario)))
         _emit_record({
@@ -205,13 +215,9 @@ def _cmd_sample(args) -> int:
             "seed": result.seed,
             "shots": result.shots,
         })
-        for outcome, count in result.counts.items():
-            _emit_record({
-                "record": "sample-count",
-                "detectors": _outcome_label(outcome),
-                "count": count,
-                "frequency": count / result.shots,
-            })
+        sys.stdout.writelines(
+            f'{{"record": "sample-count", "detectors": [{label}], "count": {count}, '
+            f'"frequency": {count / result.shots!r}}}\n' for label, count in rows)
         _emit_record({
             "record": "sample-correlation",
             "estimate": _complex_pair(result.correlation.value),
@@ -221,9 +227,9 @@ def _cmd_sample(args) -> int:
     _emit()
     _emit(f"sampling: {result.shots} shots, seed {result.seed}, "
           f"generator {result.generator}")
-    for outcome, count in result.counts.items():
-        label = ", ".join(str(k + 1) for k in outcome)
-        _emit(f"  ({label})  count = {count}  frequency = {count / result.shots:.6f}")
+    sys.stdout.writelines(
+        f"  ({label})  count = {count}  frequency = {count / result.shots:.6f}\n"
+        for label, count in rows)
     _emit(f"estimated E = {_format_complex(result.correlation.value)}")
     return _EXIT_OK
 

@@ -38,8 +38,14 @@ from .multiport import unit_roots
 #: beyond this; the closed-form correlation has no guard.
 ENUMERATION_GUARD = 10**7
 
-#: Name of the pseudo-random generator used for sampling, recorded in outputs.
-GENERATOR_NAME = "pcg64"
+#: Name of the pseudo-random generator and of the way it is drawn from when
+#: sampling, recorded in outputs.
+GENERATOR_NAME = "pcg64/class-first"
+
+#: Longest run of outcomes or draws held as one array by the table-free
+#: paths: ``_lex_sum`` hands runs of this length to numpy's own sum, and
+#: sampling draws prefixes in blocks of it.
+_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -212,6 +218,58 @@ def _digit_sums(particles: int, ports: int) -> np.ndarray:
     return sums
 
 
+def _class_tables(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """(low, high): digit-sum classes of the last k and the first N-k digits.
+
+    Outcome i = h * len(low) + j (lex index) lies in class (high[h] + low[j])
+    mod M. k >= 1 is the largest with M**k <= _BLOCK, so ``low`` is short
+    unless M alone exceeds it, and ``high`` has M**(N-k) < M**(N+1)/_BLOCK
+    entries: neither table grows as M times M**k.
+    """
+    ports, particles = cfg.ports, cfg.particles
+    k = 1
+    while k < particles and ports ** (k + 1) <= _BLOCK:
+        k += 1
+    low = _digit_sums(k, ports) % ports
+    high = _digit_sums(particles - k, ports) % ports
+    return low.astype(np.intp), high.astype(np.intp)
+
+
+def _lex_sum(values_per_class: np.ndarray, cfg: ExperimentConfig):
+    """``values_per_class[class(i)]`` summed over every outcome i in lex order.
+
+    Bit for bit what numpy's ``.sum()`` returns over that M**N-long array,
+    without building it. numpy adds a contiguous run of n scalars (two per
+    complex element) pairwise: above 128 it splits at n // 2 rounded down to a
+    multiple of 8. The same splits are taken here down to runs of at most
+    _BLOCK outcomes; each run is gathered from the class tables and summed
+    by numpy itself. Memory is one run plus the tables.
+    """
+    low, high = _class_tables(cfg)
+    width = len(low)
+    doubled = np.concatenate([values_per_class, values_per_class])
+    scalars = 2 if np.iscomplexobj(values_per_class) else 1
+
+    def leaf(start: int, stop: int):
+        first, offset = divmod(start, width)
+        last, end = divmod(stop, width)
+        if first == last:
+            return doubled[low[offset:end] + high[first]].sum()
+        parts = [low[offset:] + high[first], (high[first + 1 : last, None] + low).ravel()]
+        if end:
+            parts.append(low[:end] + high[last])
+        return doubled[np.concatenate(parts)].sum()
+
+    def node(start: int, count: int):
+        if count <= _BLOCK:
+            return leaf(start, start + count)
+        half = count * scalars // 2
+        half = (half - half % 8) // scalars
+        return node(start, half) + node(start + half, count - half)
+
+    return node(0, cfg.outcome_count)
+
+
 def joint_amplitude(cfg: ExperimentConfig, settings: PhaseSettings, outcome) -> complex:
     """Amplitude whose squared modulus is the joint detection probability."""
     _check_settings(cfg, settings)
@@ -234,19 +292,20 @@ def joint_probability(
 
 
 class OutcomeDistribution(Mapping):
-    """The complete probability table over all M**N outcome tuples.
+    """The complete probability table over all M**N outcome tuples, implicit.
 
     Behaves as a read-only mapping from 0-based detector tuples (lexicographic
-    by station) to probabilities. Probabilities depend on an outcome only
-    through the residue of its detector sum, so the table is held compactly;
-    iteration still walks every tuple.
+    by station) to probabilities. A probability depends on an outcome only
+    through the residue of its detector sum, so only the M class
+    probabilities are held; no M**N-long array is built unless a caller asks
+    for ``lex_probabilities`` or ``digit_sum_classes``. Iteration still walks
+    every tuple.
     """
 
     def __init__(self, cfg: ExperimentConfig, class_probabilities: np.ndarray):
         self._cfg = cfg
         self._probs = class_probabilities
-        self._sums = _digit_sums(cfg.particles, cfg.ports)
-        total = float(self._probs[self._sums % cfg.ports].sum())
+        total = float(_lex_sum(self._probs, cfg))
         if abs(total - 1.0) >= 1e-10:
             raise ComputationIntegrityError(
                 f"distribution total {total!r} deviates from 1 beyond 1e-10"
@@ -277,12 +336,12 @@ class OutcomeDistribution(Mapping):
         return self._probs.copy()
 
     def digit_sum_classes(self) -> np.ndarray:
-        """Residue class of every outcome, in lexicographic order."""
-        return self._sums % self._cfg.ports
+        """Residue class of every outcome, in lexicographic order (built on call)."""
+        return _digit_sums(self._cfg.particles, self._cfg.ports) % self._cfg.ports
 
     def lex_probabilities(self) -> np.ndarray:
-        """Probability of every outcome, in lexicographic order."""
-        return self._probs[self._sums % self._cfg.ports]
+        """Probability of every outcome, in lexicographic order (built on call)."""
+        return self._probs[self.digit_sum_classes()]
 
     def marginal(self, station: int) -> np.ndarray:
         """Single-station marginal distribution (length M), by enumeration."""
@@ -290,15 +349,28 @@ class OutcomeDistribution(Mapping):
             raise ValueError(f"station must be in 0..{self._cfg.particles - 1}")
         ports, particles = self._cfg.ports, self._cfg.particles
         place = ports ** (particles - 1 - station)
-        digits = (np.arange(len(self._sums)) // place) % ports
+        digits = (np.arange(len(self)) // place) % ports
         return np.bincount(digits, weights=self.lex_probabilities(), minlength=ports)
+
+    def prefix_classes(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
+        """Yield (prefix, s) for every (N-1)-digit prefix, in lex order.
+
+        s is the prefix's digit sum mod M, so the outcome prefix + (k,) lies in
+        class (s + k) mod M: the M outcomes sharing a prefix cost one sum.
+        """
+        ports = self._cfg.ports
+        for prefix in itertools.product(range(ports), repeat=self._cfg.particles - 1):
+            yield prefix, sum(prefix) % ports
 
     def support(self, eps: float = 1e-12):
         """Yield (outcome, probability) for entries above eps, in lex order."""
-        for outcome in self:
-            p = self._probs[sum(outcome) % self._cfg.ports]
-            if p > eps:
-                yield outcome, float(p)
+        ports = self._cfg.ports
+        probs = self._probs.tolist()
+        for prefix, shift in self.prefix_classes():
+            for last in range(ports):
+                p = probs[(shift + last) % ports]
+                if p > eps:
+                    yield prefix + (last,), p
 
 
 def full_distribution(
@@ -321,10 +393,8 @@ def correlation_brute(
     """Correlation by definition: sum over all outcomes of the Bell-number
     product times the outcome probability. Costs M**N; guard applies."""
     distribution = full_distribution(cfg, settings, tol)
-    classes = distribution.digit_sum_classes()
-    roots = unit_roots(cfg.ports)
-    value = (roots[classes] * distribution.lex_probabilities()).sum()
-    return CorrelationValue(complex(value))
+    values = unit_roots(cfg.ports) * distribution.class_probabilities()
+    return CorrelationValue(complex(_lex_sum(values, cfg)))
 
 
 def _closed_form_exponents(settings: PhaseSettings):
@@ -423,11 +493,12 @@ def predict_last(k_class: Residue, observed: Sequence[int]) -> Residue:
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Seeded empirical draw from the exact outcome table.
+    """Seeded empirical draw from the exact (implicit) outcome table.
 
     ``counts`` maps each observed outcome tuple (lex order) to its frequency;
     ``correlation`` is the empirical Bell-number average. Identical seeds give
-    identical results; the generator is named so runs stay portable.
+    identical results; the generator and its drawing scheme are named so runs
+    stay portable.
     """
 
     config: ExperimentConfig
@@ -444,24 +515,44 @@ def sample_outcomes(
     shots: int,
     seed: int,
 ) -> SampleResult:
-    """Draw seeded outcomes by inverse CDF over the lexicographic table."""
+    """Draw seeded outcomes class first, without an outcome table.
+
+    Every digit-sum class holds M**(N-1) equally likely outcomes, because the
+    last detector is free. One multinomial draw splits the shots over the M
+    classes; each class then draws uniform (N-1)-digit prefixes and fixes the
+    last digit as (s - prefix digit sum) mod M. The estimate is
+    sum_s n_s gamma_M^s / shots.
+    """
     if not isinstance(shots, int) or shots <= 0:
         raise ValueError(f"shots must be a positive integer, got {shots!r}")
     distribution = full_distribution(cfg, settings)
-    cdf = np.cumsum(distribution.lex_probabilities())
-    cdf[-1] = 1.0
+    probs = distribution.class_probabilities()
+    ports = cfg.ports
+    low, high = _class_tables(cfg)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
+    outcomes, frequencies = [], []
     try:
-        draws = np.searchsorted(cdf, rng.random(shots), side="right")
-        frequencies = np.bincount(draws, minlength=cfg.outcome_count)
-    except (MemoryError, ValueError):
+        per_class = rng.multinomial(shots, probs / probs.sum())
+        for s in np.flatnonzero(per_class):
+            drawn = np.empty(per_class[s], dtype=np.min_scalar_type(cfg.outcome_count - 1))
+            for start in range(0, len(drawn), _BLOCK):
+                size = min(_BLOCK, len(drawn) - start)
+                # lex index of prefix + (0,), whose class is the prefix's
+                heads = rng.integers(0, cfg.outcome_count // ports, size=size) * ports
+                rows, cols = np.divmod(heads, len(low))
+                drawn[start : start + size] = heads + (s - high[rows] - low[cols]) % ports
+            index, count = np.unique(drawn, return_counts=True)
+            outcomes.append(index)
+            frequencies.append(count)
+    except (MemoryError, ValueError, OverflowError):
         raise ResourceLimitError(f"shots = {shots}: the draws do not fit in memory") from None
-    classes = distribution.digit_sum_classes()
-    roots = unit_roots(cfg.ports)
-    estimate = complex((roots[classes] * frequencies).sum() / shots)
-    shape = (cfg.ports,) * cfg.particles
+    index = np.concatenate(outcomes)
+    order = np.argsort(index)
+    index, frequency = index[order], np.concatenate(frequencies)[order]
     counts = {}
-    for index in np.nonzero(frequencies)[0]:
-        outcome = tuple(int(d) for d in np.unravel_index(int(index), shape))
-        counts[outcome] = int(frequencies[index])
+    for start in range(0, len(index), _BLOCK):
+        digits = np.unravel_index(index[start : start + _BLOCK], (ports,) * cfg.particles)
+        counts.update(zip(zip(*(d.tolist() for d in digits)),
+                          frequency[start : start + _BLOCK].tolist()))
+    estimate = complex((unit_roots(ports) * per_class).sum() / shots)
     return SampleResult(cfg, shots, int(seed), counts, CorrelationValue(estimate))

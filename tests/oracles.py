@@ -10,6 +10,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 TAU = 2.0 * math.pi
 
 
@@ -95,6 +97,17 @@ def naive_marginal(phi_rows, ports, station):
     for outcome in itertools.product(range(ports), repeat=particles):
         marginal[outcome[station]] += naive_probability(phi_rows, ports, outcome)
     return marginal
+
+
+def lex_table_sum(values_per_class, particles, ports):
+    """numpy's own sum over the materialized lexicographic table.
+
+    Builds the M**N-long array values_per_class[sum(outcome) % M], outcomes
+    lexicographic by station, and sums it with ``.sum()``: the order in which
+    numpy adds is the reference, so this one routine uses numpy on purpose.
+    """
+    digits = np.indices((ports,) * particles).reshape(particles, -1)
+    return values_per_class[digits.sum(axis=0) % ports].sum()
 
 
 def enumerate_models(setting_counts, ports, constraints):

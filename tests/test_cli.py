@@ -7,7 +7,8 @@ from importlib import resources
 import pytest
 
 from ghzport.cli import main
-from ghzport.scenario import parse_scenario_data
+from ghzport.quantum import full_distribution, sample_outcomes
+from ghzport.scenario import parse_scenario, parse_scenario_data
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = resources.files("ghzport").joinpath("scenarios")
@@ -145,7 +146,7 @@ class TestSample:
         assert code == 0
         records = records_of(out)
         meta = next(r for r in records if r["record"] == "sample-meta")
-        assert meta == {"record": "sample-meta", "generator": "pcg64",
+        assert meta == {"record": "sample-meta", "generator": "pcg64/class-first",
                         "seed": 4, "shots": 1000}
 
     def test_byte_identical_reruns(self, capsys, pair_path):
@@ -178,6 +179,78 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", str(path))
         assert code == 1
         assert "error [invalid]" in err
+
+
+#: Tables rendered by TestRendering besides the bundled scenarios: N = 1,
+#: composite M and a sparse support (zero phases).
+RENDER_TABLES = {
+    "single-hexport": (1, 6, [[0.3, 1.1, 2.0, 2.5, 4.0, 6.1]]),
+    "three-hexports": (3, 6, [[f"{(m * m + l) % 12}/12" for m in range(6)] for l in range(3)]),
+    "pair-dodecaports": (2, 12, [[0.1 * m * (l + 1) for m in range(12)] for l in range(2)]),
+    "four-quadports-zero": (4, 4, [["0/1"] * 4 for _ in range(4)]),
+}
+
+
+@pytest.fixture(params=sorted(RENDER_TABLES) + ["mach-zehnder-n1-m2", "bell-epr-n2-m3",
+                                                "ghz-n4-m3", "ghz-n5-m4"])
+def render_path(request, tmp_path):
+    if request.param not in RENDER_TABLES:
+        return str(SCENARIOS / f"{request.param}.json")
+    particles, ports, phases = RENDER_TABLES[request.param]
+    path = tmp_path / f"{request.param}.json"
+    path.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": particles,
+                                "ports": ports, "phases": phases}), encoding="utf-8")
+    return str(path)
+
+
+def _record_line(record):
+    return json.dumps(record, separators=(", ", ": "))
+
+
+def _label(outcome):
+    return ", ".join(str(k + 1) for k in outcome)
+
+
+class TestRendering:
+    """probability and sample rows against lines built one outcome at a time
+    with json.dumps and the per-row f-strings."""
+
+    def test_probability_rows(self, capsys, render_path):
+        scenario = parse_scenario(render_path)
+        dist = full_distribution(scenario.config, scenario.phases)
+        code, out, _ = run_cli(capsys, "probability", render_path, "--format", "records")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:-1] == [_record_line({
+            "record": "probability", "detectors": [k + 1 for k in outcome],
+            "p": dist[outcome]}) for outcome in dist]
+        assert lines[-1] == _record_line({"record": "probability-total", "total": dist.total})
+        code, out, _ = run_cli(capsys, "probability", render_path)
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("joint detection probabilities (detector labels are 1-based):")
+        assert lines[start + 1:-1] == [f"  ({_label(outcome)})  p = {dist[outcome]:.12g}"
+                                       for outcome in dist]
+        assert lines[-1] == f"total = {dist.total:.12g}"
+
+    def test_sample_rows(self, capsys, render_path):
+        scenario = parse_scenario(render_path)
+        result = sample_outcomes(scenario.config, scenario.phases, 3000, 17)
+        argv = ("sample", render_path, "--shots", "3000", "--seed", "17")
+        code, out, _ = run_cli(capsys, *argv, "--format", "records")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2:-1] == [_record_line({
+            "record": "sample-count", "detectors": [k + 1 for k in outcome],
+            "count": count, "frequency": count / 3000})
+            for outcome, count in result.counts.items()]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("sampling: "))
+        assert lines[start + 1:-1] == [
+            f"  ({_label(outcome)})  count = {count}  frequency = {count / 3000:.6f}"
+            for outcome, count in result.counts.items()]
 
 
 class TestLhvSearch:

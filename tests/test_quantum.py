@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,10 @@ from ghzport.errors import (
     ResourceLimitError,
 )
 from ghzport.quantum import (
+    _BLOCK,
     ExperimentConfig,
     PhaseSettings,
+    _lex_sum,
     correlation_brute,
     correlation_closed,
     full_distribution,
@@ -176,6 +179,78 @@ class TestFullDistribution:
     def test_enumeration_guard(self):
         with pytest.raises(ResourceLimitError, match="10000000"):
             full_distribution(ExperimentConfig(8, 8), zero_settings(8, 8))
+
+    def test_support_matches_the_table_walk(self):
+        rng = np.random.default_rng(19)
+        for particles, ports in SWEEP_CONFIGS + [(3, 6), (2, 12)]:
+            cfg = ExperimentConfig(particles, ports)
+            for settings in (zero_settings(particles, ports),
+                             random_settings(rng, particles, ports)):
+                dist = full_distribution(cfg, settings)
+                for eps in (1e-12, 1 / len(dist)):
+                    expected = [(outcome, dist[outcome]) for outcome in dist
+                                if dist[outcome] > eps]
+                    assert list(dist.support(eps)) == expected
+
+
+@st.composite
+def lex_tables(draw):
+    """(M, N, values per class): M**N up to 2**18, past the leaf of _lex_sum,
+    with float or complex values spread over many magnitudes so that the
+    order of the additions shows in the last bits."""
+    ports = draw(st.integers(2, 12))
+    particles = draw(st.integers(1, min(8, int(math.log(2**18, ports)))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(ports) * 10.0 ** rng.uniform(-8, 8, ports)
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(ports) * 10.0 ** rng.uniform(-8, 8, ports)
+    return ports, particles, values
+
+
+class TestLexSum:
+    """_lex_sum against numpy's own sum over the materialized table, bit for
+    bit: a numpy release that changes its summation order fails here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lex_tables())
+    @example((2, 1, np.array([0.1, 0.2])))
+    @example((5, 7, np.arange(1.0, 6.0) * 1e-3 + 1j))
+    @example((12, 5, np.linspace(-1.0, 1.0, 12) ** 3))
+    def test_bit_equal_to_materialized_sum(self, table):
+        ports, particles, values = table
+        got = _lex_sum(values, ExperimentConfig(particles, ports))
+        want = oracles.lex_table_sum(values, particles, ports)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ports, particles", [(2, 20), (3, 12), (10, 6), (7, 7)])
+    def test_split_path_beyond_the_leaf(self, ports, particles):
+        assert ports**particles > 4 * _BLOCK
+        rng = np.random.default_rng(ports * 100 + particles)
+        for values in (rng.random(ports) * 10.0 ** rng.uniform(-8, 8, ports),
+                       np.exp(1j * rng.uniform(0, 2 * math.pi, ports)) * rng.random(ports)):
+            got = _lex_sum(values, ExperimentConfig(particles, ports))
+            assert got.tobytes() == oracles.lex_table_sum(values, particles, ports).tobytes()
+
+    def test_signed_zero_imaginary_parts(self):
+        # imaginary parts of +0 and -0 add up to a zero whose sign is
+        # printed by correlate, so it must match numpy's too
+        values = np.array([complex(0.5, 0.0), complex(-0.25, -0.0)])
+        for particles in (3, 17):
+            got = _lex_sum(values, ExperimentConfig(particles, 2))
+            assert got.tobytes() == oracles.lex_table_sum(values, particles, 2).tobytes()
+
+    def test_large_ports_single_station_stays_linear(self):
+        ports = 10**6
+        values = np.random.default_rng(23).random(ports) + 0.5j
+        tracemalloc.start()
+        try:
+            got = _lex_sum(values, ExperimentConfig(1, ports))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == oracles.lex_table_sum(values, 1, ports).tobytes()
+        assert peak < 8 * values.nbytes  # an M x M table would need 10**12 entries
 
 
 class TestCorrelation:
@@ -339,11 +414,11 @@ def exact_tables(draw):
 
 
 @st.composite
-def planted_float_tables(draw):
+def planted_float_tables(draw, max_outcomes=12**8):
     """(M, k, rows of radians) whose closed-form exponents all equal
     2*pi*k/M up to rounding: the last row closes every column sum."""
     ports = draw(st.integers(2, 12))
-    particles = draw(st.integers(1, 8))
+    particles = draw(st.integers(1, min(8, int(math.log(max_outcomes, ports)))))
     k = draw(st.integers(0, ports - 1))
     angle = st.floats(0.0, 2 * math.pi, exclude_max=True)
     rows = [[draw(angle) for _ in range(ports)] for _ in range(particles - 1)]
@@ -453,3 +528,37 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             sample_outcomes(ExperimentConfig(1, 2), zero_settings(1, 2), 0, seed=0)
+
+
+class TestClassFirstSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_class_counts_support_and_estimate(self, ports, particles, seed):
+        cfg = ExperimentConfig(particles, ports)
+        settings = random_settings(np.random.default_rng(seed), particles, ports)
+        shots = 4000
+        result = sample_outcomes(cfg, settings, shots, seed)
+        probs = full_distribution(cfg, settings).class_probabilities()
+        assert list(result.counts) == sorted(result.counts)
+        assert sum(result.counts.values()) == shots
+        per_class = [0] * ports
+        for outcome, count in result.counts.items():
+            klass = sum(outcome) % ports
+            assert probs[klass] > 0
+            per_class[klass] += count
+        for klass, count in enumerate(per_class):
+            weight = probs[klass] * ports ** (particles - 1)
+            sigma = math.sqrt(shots * weight * abs(1 - weight))
+            assert abs(count - shots * weight) <= 6 * sigma + 1e-6
+        estimate = sum(count * cmath.exp(2j * math.pi * (sum(outcome) % ports) / ports)
+                       for outcome, count in result.counts.items()) / shots
+        assert abs(result.correlation.value - estimate) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_float_tables(max_outcomes=10**5), st.integers(0, 2**32 - 1))
+    def test_last_digit_obeys_the_class(self, table, seed):
+        ports, k, rows = table
+        cfg = ExperimentConfig(len(rows), ports)
+        result = sample_outcomes(cfg, PhaseSettings.build(rows), 2000, seed)
+        for outcome in result.counts:
+            assert outcome[-1] == predict_last(Residue(k, ports), outcome[:-1]).value
