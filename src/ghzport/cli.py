@@ -40,7 +40,7 @@ from .quantum import (
     perfect_correlation_class,
     sample_outcomes,
 )
-from .scenario import Scenario, parse_scenario, scenario_to_data
+from .scenario import Scenario, angle_to_json, parse_scenario, scenario_to_data
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -327,20 +327,22 @@ def _print_paradox_text(report: ContradictionReport) -> None:
 
 
 def _cmd_paradox(args) -> int:
+    started = time.perf_counter()
     try:
         report = run_paradox(args.N, enumerate_models=not args.skip_enumeration)
     except ComputationIntegrityError as exc:
         _fail("paradox-mismatch", str(exc))
         return _EXIT_MISMATCH
+    elapsed = time.perf_counter() - started
     if args.format == "records":
         scenario = report.scenario
         _emit_record(_run_record(
             "paradox",
             particles=scenario.particles,
             ports=scenario.ports,
-            delta=f"{scenario.delta.turns.numerator}/{scenario.delta.turns.denominator}",
-            graded=[f"{a.turns.numerator}/{a.turns.denominator}" for a in scenario.graded],
-            reference=[f"{a.turns.numerator}/{a.turns.denominator}" for a in scenario.reference],
+            delta=angle_to_json(scenario.delta),
+            graded=[angle_to_json(a) for a in scenario.graded],
+            reference=[angle_to_json(a) for a in scenario.reference],
         ))
         for experiment, klass in zip(scenario.experiments, report.quantum_classes):
             _emit_record({
@@ -369,7 +371,7 @@ def _cmd_paradox(args) -> int:
         })
     else:
         _print_paradox_text(report)
-    _diagnostic(f"ghzport: paradox wall clock: {report.elapsed_seconds:.6f} s")
+    _diagnostic(f"ghzport: paradox wall clock: {elapsed:.6f} s")
     if not report.verified:
         _fail("paradox-mismatch",
               f"the N = {args.N} contradiction did not verify as predicted")

@@ -12,7 +12,6 @@ the all-reference pattern as well, which is the contradiction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -138,7 +137,8 @@ class ContradictionReport:
 
     The algebraic stage (forced value) always runs; the exhaustive stage is
     skipped, with ``enumeration_note`` saying why, when the model count
-    exceeds the guard or enumeration was declined.
+    exceeds the guard or enumeration was declined. The report holds results
+    only, no timings, so two runs of one scenario compare equal.
     """
 
     scenario: ParadoxScenario
@@ -149,7 +149,6 @@ class ContradictionReport:
     witness: Optional[DeterministicModel]
     enumeration_note: Optional[str]
     contradiction: bool
-    elapsed_seconds: float
 
     @property
     def target_class(self) -> Residue:
@@ -179,7 +178,6 @@ def run_scenario(
     ``enumerate_models``: True runs the exhaustive stage when the model count
     is within MODEL_GUARD and skips it with a notice otherwise; False skips it.
     """
-    started = time.perf_counter()
     classes = verify_quantum(scenario)
     constraints = [
         Constraint(e.pattern, e.expected) for e in scenario.experiments[:-1]
@@ -211,7 +209,6 @@ def run_scenario(
         )
         swap_count, witness = swap_result.count, swap_result.witness
         full_count = full_result.count
-    elapsed = time.perf_counter() - started
     return ContradictionReport(
         scenario=scenario,
         quantum_classes=classes,
@@ -221,7 +218,6 @@ def run_scenario(
         witness=witness,
         enumeration_note=note,
         contradiction=contradiction,
-        elapsed_seconds=elapsed,
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,7 +151,7 @@ def _check_outcome(cfg: ExperimentConfig, outcome: Sequence[int]) -> Tuple[int, 
             f"outcome has {len(detectors)} entries, expected {cfg.particles}"
         )
     for k in detectors:
-        if not isinstance(k, (int, np.integer)) or not 0 <= k < cfg.ports:
+        if not isinstance(k, numbers.Integral) or not 0 <= k < cfg.ports:
             raise ValueError(
                 f"detector indices must be integers in 0..{cfg.ports - 1}, got {k!r}"
             )
@@ -182,29 +183,29 @@ def _class_probabilities_cosine(phi: np.ndarray, ports: int) -> np.ndarray:
     """Route B: the cosine expansion of the joint probability, per class.
 
     P = M^-(N+1) * [M + 2 sum_{m>m'} cos(sum_l dphi_l + (2*pi/M)(m-m') s)]
-    where dphi_l = phi[l, m] - phi[l, m'] and s = sum(k_l) mod M.
+    where dphi_l = phi[l, m] - phi[l, m'] and s = sum(k_l) mod M. The pairs
+    with one port difference d = m - m' share the class term, so their
+    cosines add up to 2 Re(exp(i (2*pi/M) d s) sum_m' exp(i sum_l dphi_l)).
     """
     particles = phi.shape[0]
     classes = np.arange(ports)
     totals = np.full(ports, float(ports))
-    for m in range(ports):
-        for mp in range(m):
-            offset = float((phi[:, m] - phi[:, mp]).sum())
-            totals += 2.0 * np.cos(offset + (TAU / ports) * (m - mp) * classes)
+    for d in range(1, ports):
+        pairs = np.exp(1j * (phi[:, d:] - phi[:, :-d]).sum(axis=0)).sum()
+        shifts = np.exp(1j * (TAU / ports) * (d * classes % ports))
+        totals += 2.0 * (pairs * shifts).real
     return totals * (1.0 / ports) ** (particles + 1)
 
 
-def _checked_class_probabilities(
-    phi: np.ndarray, ports: int, tol: float
-) -> np.ndarray:
+def _checked_class_probabilities(phi: np.ndarray, ports: int) -> np.ndarray:
     """Per-class probabilities with the two routes cross-asserted."""
     route_a = _class_probabilities_amplitude(phi, ports)
     route_b = _class_probabilities_cosine(phi, ports)
     gap = float(np.max(np.abs(route_a - route_b)))
-    if gap >= tol:
+    if gap >= PROBABILITY_TOLERANCE:
         raise ComputationIntegrityError(
             f"amplitude and cosine probability routes disagree by {gap:.3e} "
-            f"(tolerance {tol:.1e}); this is an implementation bug"
+            f"(tolerance {PROBABILITY_TOLERANCE:.1e}); this is an implementation bug"
         )
     return route_a
 
@@ -282,12 +283,11 @@ def joint_probability(
     cfg: ExperimentConfig,
     settings: PhaseSettings,
     outcome,
-    tol: float = PROBABILITY_TOLERANCE,
 ) -> float:
     """Probability of one joint detection event, cross-checked on both routes."""
     _check_settings(cfg, settings)
     detectors = _check_outcome(cfg, outcome)
-    probs = _checked_class_probabilities(settings.float_matrix(), cfg.ports, tol)
+    probs = _checked_class_probabilities(settings.float_matrix(), cfg.ports)
     return float(probs[sum(detectors) % cfg.ports])
 
 
@@ -297,9 +297,8 @@ class OutcomeDistribution(Mapping):
     Behaves as a read-only mapping from 0-based detector tuples (lexicographic
     by station) to probabilities. A probability depends on an outcome only
     through the residue of its detector sum, so only the M class
-    probabilities are held; no M**N-long array is built unless a caller asks
-    for ``lex_probabilities`` or ``digit_sum_classes``. Iteration still walks
-    every tuple.
+    probabilities are held and no M**N-long array is ever built; marginals
+    follow from the class structure. Iteration still walks every tuple.
     """
 
     def __init__(self, cfg: ExperimentConfig, class_probabilities: np.ndarray):
@@ -335,22 +334,19 @@ class OutcomeDistribution(Mapping):
         """Probability of one outcome in each digit-sum class (length M)."""
         return self._probs.copy()
 
-    def digit_sum_classes(self) -> np.ndarray:
-        """Residue class of every outcome, in lexicographic order (built on call)."""
-        return _digit_sums(self._cfg.particles, self._cfg.ports) % self._cfg.ports
-
-    def lex_probabilities(self) -> np.ndarray:
-        """Probability of every outcome, in lexicographic order (built on call)."""
-        return self._probs[self.digit_sum_classes()]
-
     def marginal(self, station: int) -> np.ndarray:
-        """Single-station marginal distribution (length M), by enumeration."""
+        """Single-station marginal distribution (length M), from the classes.
+
+        With one station it is the class probabilities. With N >= 2, fixing
+        one detector leaves M**(N-2) outcomes in every class, so every entry
+        is M**(N-2) * sum_s p_s.
+        """
         if not 0 <= station < self._cfg.particles:
             raise ValueError(f"station must be in 0..{self._cfg.particles - 1}")
         ports, particles = self._cfg.ports, self._cfg.particles
-        place = ports ** (particles - 1 - station)
-        digits = (np.arange(len(self)) // place) % ports
-        return np.bincount(digits, weights=self.lex_probabilities(), minlength=ports)
+        if particles == 1:
+            return self._probs.copy()
+        return np.full(ports, ports ** (particles - 2) * self._probs.sum())
 
     def prefix_classes(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
         """Yield (prefix, s) for every (N-1)-digit prefix, in lex order.
@@ -376,23 +372,21 @@ class OutcomeDistribution(Mapping):
 def full_distribution(
     cfg: ExperimentConfig,
     settings: PhaseSettings,
-    tol: float = PROBABILITY_TOLERANCE,
 ) -> OutcomeDistribution:
     """Tabulate the joint probability over every outcome (M**N <= guard)."""
     _check_settings(cfg, settings)
     _ensure_enumerable(cfg)
-    probs = _checked_class_probabilities(settings.float_matrix(), cfg.ports, tol)
+    probs = _checked_class_probabilities(settings.float_matrix(), cfg.ports)
     return OutcomeDistribution(cfg, probs)
 
 
 def correlation_brute(
     cfg: ExperimentConfig,
     settings: PhaseSettings,
-    tol: float = PROBABILITY_TOLERANCE,
 ) -> CorrelationValue:
     """Correlation by definition: sum over all outcomes of the Bell-number
     product times the outcome probability. Costs M**N; guard applies."""
-    distribution = full_distribution(cfg, settings, tol)
+    distribution = full_distribution(cfg, settings)
     values = unit_roots(cfg.ports) * distribution.class_probabilities()
     return CorrelationValue(complex(_lex_sum(values, cfg)))
 
@@ -455,13 +449,12 @@ def correlation_closed(
 def perfect_correlation_class(
     cfg: ExperimentConfig,
     settings: PhaseSettings,
-    tol: float = UNIT_TOLERANCE,
 ) -> Optional[Residue]:
     """The class k with E = gamma_M^k when the correlation is perfect, else None.
 
     Perfect correlation means all M closed-form exponents land on the same
     Bell number; the exact track decides by arithmetic, the floating track
-    within ``tol`` per unit-modulus component.
+    within UNIT_TOLERANCE (1e-9) per unit-modulus component.
     """
     _check_settings(cfg, settings)
     phases, denominator = _closed_form_exponents(settings)
@@ -469,7 +462,7 @@ def perfect_correlation_class(
         return _exact_class(phases, denominator, cfg.ports)
     candidate = round(float(np.angle(phases[0])) / (TAU / cfg.ports)) % cfg.ports
     root = unit_roots(cfg.ports)[candidate]
-    if np.max(np.abs(phases - root)) <= tol:
+    if np.max(np.abs(phases - root)) <= UNIT_TOLERANCE:
         return Residue(candidate, cfg.ports)
     return None
 
@@ -483,7 +476,7 @@ def predict_last(k_class: Residue, observed: Sequence[int]) -> Residue:
     modulus = k_class.modulus
     total = 0
     for k in observed:
-        if not isinstance(k, (int, np.integer)) or not 0 <= k < modulus:
+        if not isinstance(k, numbers.Integral) or not 0 <= k < modulus:
             raise ValueError(
                 f"observed detector indices must be integers in 0..{modulus - 1}, got {k!r}"
             )
@@ -530,25 +523,21 @@ def sample_outcomes(
     ports = cfg.ports
     low, high = _class_tables(cfg)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
-    outcomes, frequencies = [], []
     try:
         per_class = rng.multinomial(shots, probs / probs.sum())
+        drawn = np.empty(shots, dtype=np.min_scalar_type(cfg.outcome_count - 1))
+        stop = 0
         for s in np.flatnonzero(per_class):
-            drawn = np.empty(per_class[s], dtype=np.min_scalar_type(cfg.outcome_count - 1))
-            for start in range(0, len(drawn), _BLOCK):
-                size = min(_BLOCK, len(drawn) - start)
+            first, stop = stop, stop + per_class[s]
+            for start in range(first, stop, _BLOCK):
+                size = min(_BLOCK, stop - start)
                 # lex index of prefix + (0,), whose class is the prefix's
                 heads = rng.integers(0, cfg.outcome_count // ports, size=size) * ports
                 rows, cols = np.divmod(heads, len(low))
                 drawn[start : start + size] = heads + (s - high[rows] - low[cols]) % ports
-            index, count = np.unique(drawn, return_counts=True)
-            outcomes.append(index)
-            frequencies.append(count)
+        index, frequency = np.unique(drawn, return_counts=True)
     except (MemoryError, ValueError, OverflowError):
         raise ResourceLimitError(f"shots = {shots}: the draws do not fit in memory") from None
-    index = np.concatenate(outcomes)
-    order = np.argsort(index)
-    index, frequency = index[order], np.concatenate(frequencies)[order]
     counts = {}
     for start in range(0, len(index), _BLOCK):
         digits = np.unravel_index(index[start : start + _BLOCK], (ports,) * cfg.particles)

@@ -202,14 +202,13 @@ def _parse_constraints(block, particles, ports, phase_rows, collector):
             f"constraints.settings: expected {particles} station entries"
         )
     else:
-        station_settings = []
+        parsed_stations = []
         for l, rows_data in enumerate(settings_data):
             if not isinstance(rows_data, list) or not rows_data:
                 collector.error(
                     f"constraints.settings station {l + 1}: expected a non-empty list of rows"
                 )
-                station_settings = None
-                break
+                continue
             rows = []
             for i, row_data in enumerate(rows_data):
                 row = _parse_row(
@@ -220,12 +219,10 @@ def _parse_constraints(block, particles, ports, phase_rows, collector):
                 )
                 if row is not None:
                     rows.append(row)
-            if len(rows) != len(rows_data):
-                station_settings = None
-                break
-            station_settings.append(tuple(rows))
-        if station_settings is not None:
-            station_settings = tuple(station_settings)
+            if len(rows) == len(rows_data):
+                parsed_stations.append(tuple(rows))
+        if len(parsed_stations) == particles:
+            station_settings = tuple(parsed_stations)
 
     require_data = block.get("require", [])
     parsed = []

@@ -102,6 +102,9 @@ class TestRunParadox:
         assert report.witness is None
         assert report.verified  # algebraic stage alone still verifies
 
+    def test_reruns_compare_equal(self):
+        assert run_paradox(4) == run_paradox(4)
+
     def test_family_invariants(self):
         for particles in range(4, 13):
             report = run_paradox(particles, enumerate_models=False)

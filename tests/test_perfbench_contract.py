@@ -47,3 +47,18 @@ def test_call_sites_go_through_patched_names(layers):
             "quantum.closed_exact", "lhv.forced", "lhv.count"} <= names
     for (module, name), original in layers._ORIGINAL.items():
         assert getattr(module, name) is original
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["correlate"], {"quantum.distribution", "quantum.brute", "quantum.perfect_class"}),
+    (["sample", "--shots", "100"], {"quantum.distribution", "quantum.sample"}),
+    (["probability"], {"quantum.distribution"}),
+])
+def test_table_commands_go_through_patched_names(layers, argv, spans):
+    scenario = str(ROOT / "src" / "ghzport" / "scenarios" / "ghz-n4-m3.json")
+    tracer = layers.Tracer()
+    out, err = io.StringIO(), io.StringIO()
+    with layers.instrumented(tracer), redirect_stdout(out), redirect_stderr(err):
+        assert cli.main([argv[0], scenario, *argv[1:], "--format", "records"]) == 0
+    assert spans <= {span[0] for span in tracer.spans}
+    assert tracer.counters["quantum.outcomes"] > 0

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from ghzport.quantum import (
     _BLOCK,
     ExperimentConfig,
     PhaseSettings,
+    _class_probabilities_cosine,
     _lex_sum,
     correlation_brute,
     correlation_closed,
@@ -119,6 +121,17 @@ class TestJointProbability:
             assert p == pytest.approx(
                 oracles.naive_probability_cosine(rows, 3, outcome), abs=1e-10)
 
+    @settings(max_examples=100, deadline=None)
+    @given(ports=st.sampled_from([4, 6, 8, 9, 10, 12, 14, 15, 16]),
+           particles=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_cosine_route_matches_oracle_per_class(self, ports, particles, seed):
+        phi = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, (particles, ports))
+        got = _class_probabilities_cosine(phi, ports)
+        for s in range(ports):
+            outcome = (s,) + (0,) * (particles - 1)
+            want = oracles.naive_probability_cosine(phi.tolist(), ports, outcome)
+            assert abs(got[s] - want) < 1e-12
+
     def test_route_disagreement_raises(self, monkeypatch):
         import ghzport.quantum as quantum
 
@@ -175,6 +188,24 @@ class TestFullDistribution:
         # sees the full interference pattern, not a uniform marginal
         dist = full_distribution(ExperimentConfig(1, 2), zero_settings(1, 2))
         assert dist.marginal(0) == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    def test_marginal_builds_no_outcome_array(self):
+        dist = full_distribution(ExperimentConfig(7, 10), zero_settings(7, 10))
+        tracemalloc.start()
+        try:
+            marginal = dist.marginal(3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert marginal == pytest.approx([0.1] * 10, abs=1e-10)
+        assert peak < 10**6  # a float64 per outcome would take 8 * 10**7 bytes
+
+    def test_many_ports_single_station_is_fast(self):
+        # both probability routes must stay polynomial of low degree in M
+        settings = random_settings(np.random.default_rng(29), 1, 1000)
+        started = time.perf_counter()
+        full_distribution(ExperimentConfig(1, 1000), settings)
+        assert time.perf_counter() - started < 2.0
 
     def test_enumeration_guard(self):
         with pytest.raises(ResourceLimitError, match="10000000"):

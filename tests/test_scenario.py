@@ -112,6 +112,17 @@ class TestValidation:
             parse_scenario_data(doc)
         assert len(excinfo.value.errors) >= 3
 
+    def test_every_bad_catalog_station_reported(self):
+        doc = minimal_doc()
+        doc["constraints"] = {"settings": [[[0, "x"]], [[0, "y"], [0]]], "require": []}
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario_data(doc)
+        assert excinfo.value.errors == [
+            "constraints.settings station 1 setting 1 port 2: cannot read 'x' as radians or \"p/q\"",
+            "constraints.settings station 2 setting 1 port 2: cannot read 'y' as radians or \"p/q\"",
+            "constraints.settings station 2 setting 2: expected 2 entries (ports=2), got 1",
+        ]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario(tmp_path / "absent.json")
