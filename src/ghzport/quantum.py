@@ -48,6 +48,10 @@ GENERATOR_NAME = "pcg64/class-first"
 #: sampling draws prefixes in blocks of it.
 _BLOCK = 2**16
 
+#: Classes per block of route A's term table: an (M, _COLUMNS) block costs
+#: 24 bytes per entry. At least 4, so no block is a single column.
+_COLUMNS = 64
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -57,9 +61,10 @@ class ExperimentConfig:
     ports: int
 
     def __post_init__(self):
-        if not isinstance(self.particles, int) or self.particles < 1:
+        if (not isinstance(self.particles, int) or isinstance(self.particles, bool)
+                or self.particles < 1):
             raise ValueError(f"particles must be an integer >= 1, got {self.particles!r}")
-        if not isinstance(self.ports, int) or self.ports < 2:
+        if not isinstance(self.ports, int) or isinstance(self.ports, bool) or self.ports < 2:
             raise ValueError(f"ports must be an integer >= 2, got {self.ports!r}")
 
     @property
@@ -73,6 +78,13 @@ def _ensure_enumerable(cfg: ExperimentConfig) -> None:
             f"M**N = {cfg.ports}**{cfg.particles} = {cfg.outcome_count} outcomes "
             f"exceeds the enumeration guard of {ENUMERATION_GUARD}"
         )
+
+
+def _distinct(rows) -> dict:
+    """The distinct row objects of a settings table, keyed by identity, in
+    first-appearance order: stations that share one row object (as a
+    catalog's experiments do) are read once."""
+    return {id(row): row for row in rows}
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,7 @@ class PhaseSettings:
                 raise ValueError(
                     f"station {index + 1} has {len(row)} phases, expected {width}"
                 )
+        for row in _distinct(self.rows).values():
             for angle in row:
                 if not isinstance(angle, PhaseAngle):
                     raise ValueError(f"phase entries must be PhaseAngle, got {angle!r}")
@@ -113,7 +126,7 @@ class PhaseSettings:
 
     @property
     def all_exact(self) -> bool:
-        return all(angle.is_exact for row in self.rows for angle in row)
+        return all(angle.is_exact for row in _distinct(self.rows).values() for angle in row)
 
     def float_matrix(self) -> np.ndarray:
         return np.array([[angle.radians for angle in row] for row in self.rows])
@@ -165,11 +178,24 @@ def _class_amplitudes(phi: np.ndarray, ports: int) -> np.ndarray:
     only through s = sum(k_l) mod M, so one amplitude per class covers all
     M**N outcomes:  amp(s) = M^(-(N+1)/2) * sum_m exp(i sum_l phi[l, m]) *
     gamma_M^(m*s), with the exponent m*s reduced exactly as an integer.
+
+    The M x M table of terms is built _COLUMNS classes at a time, so memory
+    stays linear in M. numpy sums each (M, width) block over m row by row,
+    as it does the whole table, so the amplitudes keep their bits; a
+    one-column block would be summed pairwise instead, so the classes are
+    split into near-equal blocks, never narrower than two.
     """
     particles = phi.shape[0]
-    weights = np.exp(1j * phi.sum(axis=0))
-    powers = np.outer(np.arange(ports), np.arange(ports)) % ports
-    amps = (weights[:, None] * unit_roots(ports)[powers]).sum(axis=0)
+    weights = np.exp(1j * phi.sum(axis=0))[:, None]
+    roots = unit_roots(ports)
+    ms = np.arange(ports)
+    amps = np.empty(ports, dtype=complex)
+    for classes in np.array_split(ms, -(-ports // _COLUMNS)):
+        powers = np.outer(ms, classes)
+        powers %= ports
+        terms = roots[powers]
+        np.multiply(weights, terms, out=terms)
+        amps[classes] = terms.sum(axis=0)
     return amps * ports ** (-(particles + 1) / 2)
 
 
@@ -398,18 +424,21 @@ def _closed_form_exponents(settings: PhaseSettings):
     telescope to zero modulo one turn. When every phase is exact, returns
     ``(numerators, D)``: exponent m is numerators[m]/D of a turn in [0, 1),
     over the lcm D of the phase denominators, taken from the column sums S_m
-    as (S_m - S_(m+1)) mod D. Otherwise returns ``(phases, None)``, the M unit
-    phases exp(i * exponent) on the floating track.
+    as (S_m - S_(m+1)) mod D. D and each row's scaled numerators are read from
+    each distinct row object once; S_m then adds those integer vectors over
+    all N stations, which is exact whichever rows repeat. Otherwise returns
+    ``(phases, None)``, the M unit phases exp(i * exponent) on the floating
+    track.
     """
     if not settings.all_exact:
         phi = settings.float_matrix()
         deltas = phi - np.roll(phi, -1, axis=1)
         return np.exp(1j * deltas.sum(axis=0)), None
-    denominator = math.lcm(*(a.turns.denominator for row in settings.rows for a in row))
-    sums = [0] * settings.ports
-    for row in settings.rows:
-        for m, angle in enumerate(row):
-            sums[m] += angle.turns.numerator * (denominator // angle.turns.denominator)
+    distinct = _distinct(settings.rows)
+    denominator = math.lcm(*(a.turns.denominator for row in distinct.values() for a in row))
+    scaled = {key: [a.turns.numerator * (denominator // a.turns.denominator) for a in row]
+              for key, row in distinct.items()}
+    sums = [sum(column) for column in zip(*(scaled[id(row)] for row in settings.rows))]
     numerators = [(s - t) % denominator for s, t in zip(sums, sums[1:] + sums[:1])]
     if denominator > _INT64_MAX:  # only then can a reduced exponent leave the range
         for e in numerators:

@@ -110,6 +110,22 @@ def lex_table_sum(values_per_class, particles, ports):
     return values_per_class[digits.sum(axis=0) % ports].sum()
 
 
+def full_table_amplitudes(phi, ports):
+    """Route A's class amplitudes from the whole M x M table of terms.
+
+    amp(s) = M^(-(N+1)/2) * sum_m exp(i sum_l phi[l, m]) * gamma_M^(m*s),
+    summed by numpy's ``.sum(axis=0)`` over the full table at once: the order
+    in which numpy adds is the reference for the blocked sum, so this one
+    routine uses numpy on purpose. The roots are exp(2*pi*i*j/M) from cmath.
+    """
+    particles = phi.shape[0]
+    roots = np.array([cmath.exp(2j * math.pi * j / ports) for j in range(ports)])
+    weights = np.exp(1j * phi.sum(axis=0))
+    powers = np.outer(np.arange(ports), np.arange(ports)) % ports
+    amps = (weights[:, None] * roots[powers]).sum(axis=0)
+    return amps * ports ** (-(particles + 1) / 2)
+
+
 def enumerate_models(setting_counts, ports, constraints):
     """Count assignment tables satisfying every (pattern, required) pair.
 

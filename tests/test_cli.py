@@ -17,6 +17,8 @@ SCENARIOS = resources.files("ghzport").joinpath("scenarios")
 GOLDEN_COMMANDS = {
     "paradox-n4": ["paradox", "--N", "4"],
     "paradox-n5": ["paradox", "--N", "5"],
+    "paradox-n48": ["paradox", "--N", "48"],
+    "paradox-n64": ["paradox", "--N", "64"],
     "lhv-search-ghz-n4-m3": ["lhv-search", str(SCENARIOS / "ghz-n4-m3.json")],
     "lhv-search-ghz-n5-m4": ["lhv-search", str(SCENARIOS / "ghz-n5-m4.json")],
 }

@@ -10,6 +10,7 @@ layers.py the way ``perfbench/run.py --trace 1`` does and check both.
 import importlib.util
 import io
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -47,6 +48,16 @@ def test_call_sites_go_through_patched_names(layers):
             "quantum.closed_exact", "lhv.forced", "lhv.count"} <= names
     for (module, name), original in layers._ORIGINAL.items():
         assert getattr(module, name) is original
+
+
+def test_every_paradox_experiment_goes_through_the_patched_name(layers):
+    tracer = layers.Tracer()
+    out, err = io.StringIO(), io.StringIO()
+    with layers.instrumented(tracer), redirect_stdout(out), redirect_stderr(err):
+        assert cli.main(["paradox", "--N", "64", "--format", "records"]) == 0
+    opened = Counter(span[0] for span in tracer.spans)
+    assert opened["quantum.closed_exact"] == 65  # 64 swaps and the all-reference target
+    assert opened["paradox.verify_quantum"] == 1
 
 
 @pytest.mark.parametrize("argv, spans", [

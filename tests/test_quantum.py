@@ -21,6 +21,8 @@ from ghzport.quantum import (
     _BLOCK,
     ExperimentConfig,
     PhaseSettings,
+    _class_amplitudes,
+    _class_probabilities_amplitude,
     _class_probabilities_cosine,
     _lex_sum,
     correlation_brute,
@@ -58,6 +60,14 @@ def paradox_swap_settings(exact=True):
         graded = tuple(PhaseAngle.from_radians(2 * math.pi * j / 9) for j in range(3))
         zeros = tuple(PhaseAngle.from_radians(0.0) for _ in range(3))
     return PhaseSettings((graded, graded, graded, zeros))
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("particles, ports, field", [
+        (True, 2, "particles"), (2, True, "ports")])
+    def test_bools_rejected(self, particles, ports, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(particles, ports)
 
 
 class TestJointAmplitude:
@@ -131,6 +141,26 @@ class TestJointProbability:
             outcome = (s,) + (0,) * (particles - 1)
             want = oracles.naive_probability_cosine(phi.tolist(), ports, outcome)
             assert abs(got[s] - want) < 1e-12
+
+    @pytest.mark.parametrize("particles", [1, 3])
+    @pytest.mark.parametrize("ports", [2, 3, 12, 255, 256, 257, 300, 513, 1000])
+    def test_blocked_amplitudes_equal_full_table(self, ports, particles):
+        # a one-column block (M = 257 or 513 split 256 wide) is summed
+        # pairwise by numpy and would differ in the last bits
+        phi = np.random.default_rng(ports * 10 + particles).uniform(
+            0.0, 2 * math.pi, (particles, ports))
+        got = _class_amplitudes(phi, ports)
+        assert got.tobytes() == oracles.full_table_amplitudes(phi, ports).tobytes()
+
+    def test_amplitude_route_memory_is_linear_in_ports(self):
+        phi = np.random.default_rng(31).uniform(0.0, 2 * math.pi, (1, 1500))
+        tracemalloc.start()
+        try:
+            _class_probabilities_amplitude(phi, 1500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 10**6  # the whole M x M table takes about 90 MB
 
     def test_route_disagreement_raises(self, monkeypatch):
         import ghzport.quantum as quantum
@@ -459,18 +489,52 @@ def planted_float_tables(draw, max_outcomes=12**8):
     return ports, k, rows
 
 
+@st.composite
+def shared_row_tables(draw):
+    """(M, rows of PhaseAngle): stations pick rows from a pool of up to three
+    row objects, each station holding either the pooled tuple itself or an
+    equal but distinct copy, as a catalog's experiments share their rows.
+    Pools may use denominators near 2**32, so D can pass 2**63; without them
+    the last station is half the time planted so that every exponent is the
+    same k/M of a turn."""
+    ports = draw(st.integers(2, 12))
+    particles = draw(st.integers(1, 8))
+    wide = draw(st.booleans())
+    small = st.builds(Fraction, st.integers(0, 10**4),
+                      st.sampled_from((1, 2, ports, ports * ports, 6 * ports, 97)))
+    big = st.builds(Fraction, st.integers(1, 2**32), st.sampled_from(BIG_PRIMES))
+    turn = st.one_of(small, big) if wide else small
+    pool = [tuple(PhaseAngle.from_turns(draw(turn)) for _ in range(ports))
+            for _ in range(draw(st.integers(1, 3)))]
+    rows = []
+    for _ in range(particles):
+        row = pool[draw(st.integers(0, len(pool) - 1))]
+        rows.append(tuple(list(row)) if draw(st.booleans()) else row)
+    if not wide and particles > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, ports - 1))
+        start = draw(small)
+        columns = [sum(row[m].turns for row in rows[:-1]) for m in range(ports)]
+        rows[-1] = tuple(PhaseAngle.from_turns(start - Fraction(m * k, ports) - columns[m])
+                         for m in range(ports))
+    return ports, rows
+
+
+class CountingRow(tuple):
+    """A settings row that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
 class TestClosedFormOracle:
     """The closed form against the literal Fraction loop in oracles.py."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(exact_tables())
-    @example((3, [[Fraction(1, BIG_PRIMES[0])] * 3, [Fraction(1, BIG_PRIMES[1]), 0, 0]]))
-    @example((4, [[Fraction(1, BIG_PRIMES[0])] * 4, [Fraction(1, BIG_PRIMES[1])] * 4,
-                  [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]]))
-    def test_exact_track_matches_oracle(self, table):
-        ports, rows = table
-        phases = PhaseSettings.build([[PhaseAngle.from_turns(t) for t in row] for row in rows])
-        cfg = ExperimentConfig(len(rows), ports)
+    @staticmethod
+    def assert_matches_oracle(ports, phases):
+        cfg = ExperimentConfig(phases.particles, ports)
         turns = [[angle.turns for angle in row] for row in phases.rows]
         exponents = oracles.closed_form_exponents(turns, ports)
         too_wide = [e for e in exponents if e.denominator > 2**63 - 1]
@@ -487,6 +551,38 @@ class TestClosedFormOracle:
         assert result.value == value  # bit-equal, not approximately
         assert result.exact_class == expected
         assert perfect_correlation_class(cfg, phases) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(exact_tables())
+    @example((3, [[Fraction(1, BIG_PRIMES[0])] * 3, [Fraction(1, BIG_PRIMES[1]), 0, 0]]))
+    @example((4, [[Fraction(1, BIG_PRIMES[0])] * 4, [Fraction(1, BIG_PRIMES[1])] * 4,
+                  [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]]))
+    def test_exact_track_matches_oracle(self, table):
+        ports, rows = table
+        phases = PhaseSettings.build([[PhaseAngle.from_turns(t) for t in row] for row in rows])
+        self.assert_matches_oracle(ports, phases)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_row_tables())
+    @example((3, [paradox_swap_settings().rows[0]] * 3 + [paradox_swap_settings().rows[3]]))
+    @example((2, [(PhaseAngle.from_turns(Fraction(1, BIG_PRIMES[0])),) * 2] * 3
+                 + [(PhaseAngle.from_turns(Fraction(1, BIG_PRIMES[1])),
+                     PhaseAngle.from_turns(0))] * 2))
+    def test_shared_rows_match_oracle(self, table):
+        ports, rows = table
+        self.assert_matches_oracle(ports, PhaseSettings(tuple(rows)))
+
+    def test_shared_row_is_read_once(self):
+        # 64 stations on one row object cost the same reads as 2 stations
+        graded = [PhaseAngle.from_turns(Fraction(j, 63**2)) for j in range(63)]
+        reads = []
+        for stations in (64, 2):
+            row = CountingRow(graded)
+            phases = PhaseSettings((row,) * stations)
+            row.iterations = 0
+            correlation_closed(ExperimentConfig(stations, 63), phases)
+            reads.append(row.iterations)
+        assert reads[0] == reads[1] > 0
 
     @settings(max_examples=200, deadline=None)
     @given(planted_float_tables(), st.floats(1e-6, 0.1), st.floats(0.0, 1e-12))
