@@ -17,6 +17,7 @@ many to hold in memory, 4 paradox verdict mismatch.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -401,15 +402,19 @@ def _cmd_examples(args) -> int:
 # --- dispatch ---------------------------------------------------------------
 
 
-def _seed(text: str) -> int:
-    """argparse type for --seed: the generator takes non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _at_least(minimum: int):
+    """argparse type for an integer option that must be >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -444,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("sample", help="seeded outcome sampling")
     sub.add_argument("scenario", help="scenario file (JSON)")
-    sub.add_argument("--shots", type=int, default=None)
-    sub.add_argument("--seed", type=_seed, default=None)
+    sub.add_argument("--shots", type=_at_least(1), default=None)
+    sub.add_argument("--seed", type=_at_least(0), default=None)
     add_format(sub)
     sub.set_defaults(handler=_cmd_sample)
 
@@ -495,7 +500,13 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Console entry point."""
+    """Console entry point.
+
+    Freezes the collector once the imports are done, so that every later
+    full collection, the one at interpreter exit included, skips the
+    import-time objects. ``main`` and library use leave the collector as is.
+    """
+    gc.freeze()
     sys.exit(main())
 
 

@@ -270,22 +270,37 @@ def _lex_sum(values_per_class: np.ndarray, cfg: ExperimentConfig):
     complex element) pairwise: above 128 it splits at n // 2 rounded down to a
     multiple of 8. The same splits are taken here down to runs of at most
     _BLOCK outcomes; each run is gathered from the class tables and summed
-    by numpy itself. Memory is one run plus the tables.
+    by numpy itself. Memory is the tables plus two run buffers, one of
+    indices and one of gathered values, allocated once per call and refilled
+    in place for every run, so no run allocates (and page-faults in) fresh
+    arrays.
     """
     low, high = _class_tables(cfg)
     width = len(low)
     doubled = np.concatenate([values_per_class, values_per_class])
     scalars = 2 if np.iscomplexobj(values_per_class) else 1
+    size = min(_BLOCK, cfg.outcome_count)
+    idx = np.empty(size, dtype=np.intp)
+    run = np.empty(size, dtype=doubled.dtype)
 
     def leaf(start: int, stop: int):
         first, offset = divmod(start, width)
         last, end = divmod(stop, width)
+        count = stop - start
         if first == last:
-            return doubled[low[offset:end] + high[first]].sum()
-        parts = [low[offset:] + high[first], (high[first + 1 : last, None] + low).ravel()]
-        if end:
-            parts.append(low[:end] + high[last])
-        return doubled[np.concatenate(parts)].sum()
+            np.add(low[offset:end], high[first], out=idx[:count])
+        else:
+            head = width - offset
+            np.add(low[offset:], high[first], out=idx[:head])
+            tail = count - end
+            np.add(high[first + 1 : last, None], low,
+                   out=idx[head:tail].reshape(last - first - 1, width))
+            if end:
+                np.add(low[:end], high[last], out=idx[tail:count])
+        # mode="clip" (every index is in range anyway): "raise" would gather
+        # into a temporary and copy it into ``out``
+        doubled.take(idx[:count], out=run[:count], mode="clip")
+        return run[:count].sum()
 
     def node(start: int, count: int):
         if count <= _BLOCK:

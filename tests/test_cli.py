@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -52,15 +53,17 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv, text=True):
-    """Run ``python -m ghzport`` in a child process against this source tree."""
+def run_python(*args, text=True):
+    """Run ``python *args`` in a child process against this source tree."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "ghzport", *argv],
-        capture_output=True, text=text, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, env=env)
+
+
+def run_module(*argv, text=True):
+    """Run ``python -m ghzport`` in a child process against this source tree."""
+    return run_python("-m", "ghzport", *argv, text=text)
 
 
 def records_of(out):
@@ -158,10 +161,13 @@ class TestSample:
         assert out1.encode() == out2.encode()
 
     def test_negative_seed_is_usage_error(self, capsys, pair_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sample", pair_path, "--seed", "-1"])
-        assert excinfo.value.code == 2
-        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        for option, value, message in [("--seed", "-1", "must be >= 0, got -1"),
+                                        ("--shots", "0", "must be >= 1, got 0"),
+                                        ("--shots", "-5", "must be >= 1, got -5")]:
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sample", pair_path, option, value])
+            assert excinfo.value.code == 2
+            assert f"argument {option}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shots", [10**17, 2**64])
     def test_huge_shot_count_is_a_guard_error(self, shots):
@@ -340,6 +346,26 @@ class TestDispatch:
         assert proc.returncode == 0
         assert "VERIFIED" in proc.stdout
         assert "wall clock" in proc.stderr
+
+    def test_only_the_console_entry_point_freezes_the_collector(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["paradox", "--N", "4", "--format", "records"]) == 0
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+        # in a child, so this process is never frozen: importing the package
+        # and calling main freeze nothing, run() freezes before main
+        probe = ("import atexit, gc, sys; import ghzport, ghzport.cli as cli; "
+                 "assert gc.get_freeze_count() == 0; "
+                 "cli.main(['multiport', '--ports', '2']); "
+                 "assert gc.get_freeze_count() == 0; "
+                 "atexit.register(lambda: print('frozen', gc.get_freeze_count(), "
+                 "file=sys.stderr)); "
+                 "sys.argv[1:] = ['multiport', '--ports', '2']; cli.run()")
+        proc = run_python("-c", probe)
+        assert proc.returncode == 0
+        assert "M = 2 ports" in proc.stdout
+        (line,) = [l for l in proc.stderr.splitlines() if l.startswith("frozen")]
+        assert int(line.split()[1]) > 0
 
     def test_stdout_byte_identical_for_paradox(self, ghz4_path):
         runs = [
