@@ -4,6 +4,14 @@ Subcommands: multiport, probability, correlate, sample, lhv-search, paradox,
 examples. Every subcommand takes ``--format text`` (aligned, human-readable)
 or ``--format records`` (line-delimited JSON objects, one record per line).
 
+Records first: each ``_cmd_*`` handler computes its result, then yields it as
+record dicts, which ``main`` hands to one writer. ``--format records`` prints
+each as a JSON line; ``--format text`` renders it by record type, reading the
+latest earlier record of each type where it needs more (the ``run`` record
+carries the scenario). Table rows skip the dicts: a handler yields them as a
+callable returning the lines for a format. Nothing is yielded before the
+result is computed, so an error leaves stdout empty.
+
 Output discipline: stdout carries results only and is byte-identical across
 reruns with the same inputs and seed; diagnostics (validation notes, wall
 clock, errors) go to stderr. Error exits are machine-greppable one-liners of
@@ -24,16 +32,16 @@ import time
 from importlib import resources
 
 from . import __version__
-from .angles import Residue
+from .angles import PhaseAngle, Residue
 from .errors import (
     ComputationIntegrityError,
     GhzportError,
     ResourceLimitError,
     ScenarioError,
 )
-from .lhv import CountResult, DeterministicModel, count_satisfying, ghz_forced_value
+from .lhv import count_satisfying, ghz_forced_value
 from .multiport import bell_multiport
-from .paradox import ContradictionReport, run_paradox
+from .paradox import run_paradox
 from .quantum import (
     correlation_brute,
     correlation_closed,
@@ -49,14 +57,6 @@ _EXIT_GUARD = 3
 _EXIT_MISMATCH = 4
 
 
-def _emit(line: str = "") -> None:
-    print(line)
-
-
-def _emit_record(record: dict) -> None:
-    print(json.dumps(record, separators=(", ", ": ")))
-
-
 def _diagnostic(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -69,21 +69,27 @@ def _complex_pair(value: complex) -> list:
     return [value.real, value.imag]
 
 
-def _format_complex(value: complex) -> str:
-    return f"{value.real:.12g} {value.imag:+.12g}i"
-
-
 def _class_json(residue):
     if residue is None:
         return None
     return {"k": residue.value, "mod": residue.modulus}
 
 
+def _forced_json(forced) -> dict:
+    """The forced_pattern and forced_class fields of a forced value or None."""
+    if forced is None:
+        return {"forced_pattern": None, "forced_class": None}
+    return {"forced_pattern": [i + 1 for i in forced.pattern],
+            "forced_class": _class_json(forced.residue)}
+
+
+def _witness_json(witness):
+    return None if witness is None else [list(v) for v in witness.assignments]
+
+
 def _run_record(command: str, **extra) -> dict:
-    record = {"record": "run", "tool": "ghzport", "version": __version__,
-              "command": command}
-    record.update(extra)
-    return record
+    return {"record": "run", "tool": "ghzport", "version": __version__,
+            "command": command, **extra}
 
 
 def _load_scenario(args) -> Scenario:
@@ -109,91 +115,50 @@ def _table_lines(distribution, head: str, tails: list):
         yield "".join([start + label + tail for label, tail in zip(labels, rotated)])
 
 
-# --- subcommands -----------------------------------------------------------
+# --- subcommands: each yields its records once the result is computed --------
 
 
-def _cmd_multiport(args) -> int:
+def _cmd_multiport(args):
     matrix = bell_multiport(args.ports)
-    if args.format == "records":
-        _emit_record(_run_record("multiport", ports=args.ports))
-        for m, row in enumerate(matrix.entries):
-            _emit_record({
-                "record": "multiport-row",
-                "input_port": m + 1,
-                "entries": [_complex_pair(z) for z in row],
-            })
-        return _EXIT_OK
-    _emit(f"Bell multiport, M = {args.ports} ports "
-          f"(entry modulus 1/sqrt(M) = {1 / args.ports ** 0.5:.12g})")
-    _emit("rows: input port; columns: output port")
-    for row in matrix.entries:
-        _emit("  " + "  ".join(f"{z.real:+.9f}{z.imag:+.9f}i" for z in row))
-    return _EXIT_OK
+    yield _run_record("multiport", ports=args.ports)
+    for m, row in enumerate(matrix.entries):
+        yield {"record": "multiport-row", "input_port": m + 1,
+               "entries": [_complex_pair(z) for z in row]}
 
 
-def _scenario_header_text(scenario: Scenario) -> None:
-    cfg = scenario.config
-    _emit(f"scenario: N = {cfg.particles} particles, M = {cfg.ports} ports per station")
-    _emit("phases (radians; exact fractions of 2*pi in parentheses):")
-    for l, row in enumerate(scenario.phases.rows):
-        _emit(f"  station {l + 1}: " + "  ".join(a.describe() for a in row))
-
-
-def _cmd_probability(args) -> int:
+def _cmd_probability(args):
     scenario = _load_scenario(args)
     distribution = full_distribution(scenario.config, scenario.phases)
     probs = distribution.class_probabilities().tolist()
-    if args.format == "records":
-        _emit_record(_run_record("probability", scenario=scenario_to_data(scenario)))
-        sys.stdout.writelines(_table_lines(
-            distribution, '{"record": "probability", "detectors": [',
-            [f'], "p": {p!r}}}\n' for p in probs]))
-        _emit_record({"record": "probability-total", "total": distribution.total})
-        return _EXIT_OK
-    _scenario_header_text(scenario)
-    _emit()
-    _emit("joint detection probabilities (detector labels are 1-based):")
-    sys.stdout.writelines(_table_lines(distribution, "  (", [f")  p = {p:.12g}\n" for p in probs]))
-    _emit(f"total = {distribution.total:.12g}")
-    return _EXIT_OK
+
+    def rows(fmt):
+        if fmt == "records":
+            return _table_lines(distribution, '{"record": "probability", "detectors": [',
+                                [f'], "p": {p!r}}}\n' for p in probs])
+        return _table_lines(distribution, "  (", [f")  p = {p:.12g}\n" for p in probs])
+
+    yield _run_record("probability", scenario=scenario_to_data(scenario))
+    yield rows
+    yield {"record": "probability-total", "total": distribution.total}
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_correlate(args):
     scenario = _load_scenario(args)
-    cfg = scenario.config
-    closed = correlation_closed(cfg, scenario.phases)
-    brute = correlation_brute(cfg, scenario.phases)
-    gap = abs(closed.value - brute.value)
-    perfect = perfect_correlation_class(cfg, scenario.phases)
-    if args.format == "records":
-        _emit_record(_run_record("correlate", scenario=scenario_to_data(scenario)))
-        _emit_record({
-            "record": "correlation",
-            "closed": _complex_pair(closed.value),
-            "brute": _complex_pair(brute.value),
-            "difference": gap,
-            "exact_class": _class_json(closed.exact_class),
-            "perfect_class": _class_json(perfect),
-        })
-        return _EXIT_OK
-    _scenario_header_text(scenario)
-    _emit()
-    _emit(f"closed form:  E = {_format_complex(closed.value)}")
-    _emit(f"brute force:  E = {_format_complex(brute.value)}   "
-          f"({cfg.outcome_count} outcomes)")
-    _emit(f"|closed - brute| = {gap:.3e}")
-    if closed.exact_class is not None:
-        _emit(f"exact class: {closed.exact_class.symbol()}  (rational path)")
-    else:
-        _emit("exact class: none (inputs are not all exact rationals)")
-    if perfect is not None:
-        _emit(f"perfect correlation: class {perfect.symbol()}")
-    else:
-        _emit("perfect correlation: none (|E| < 1)")
-    return _EXIT_OK
+    closed = correlation_closed(scenario.config, scenario.phases)
+    brute = correlation_brute(scenario.config, scenario.phases)
+    perfect = perfect_correlation_class(scenario.config, scenario.phases)
+    yield _run_record("correlate", scenario=scenario_to_data(scenario))
+    yield {
+        "record": "correlation",
+        "closed": _complex_pair(closed.value),
+        "brute": _complex_pair(brute.value),
+        "difference": abs(closed.value - brute.value),
+        "exact_class": _class_json(closed.exact_class),
+        "perfect_class": _class_json(perfect),
+    }
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     scenario = _load_scenario(args)
     shots = args.shots
     seed = args.seed
@@ -202,182 +167,58 @@ def _cmd_sample(args) -> int:
     if seed is None:
         seed = scenario.sampling.seed if scenario.sampling is not None else 0
     if shots is None:
-        _fail("invalid", "sample needs --shots or a sampling block in the scenario")
-        return _EXIT_ERROR
+        raise GhzportError("sample needs --shots or a sampling block in the scenario")
     result = sample_outcomes(scenario.config, scenario.phases, shots, seed)
     labels = _digit_labels(scenario.config.ports)
-    rows = ((", ".join([labels[k] for k in outcome]), count)
-            for outcome, count in result.counts.items())
-    if args.format == "records":
-        _emit_record(_run_record("sample", scenario=scenario_to_data(scenario)))
-        _emit_record({
-            "record": "sample-meta",
-            "generator": result.generator,
-            "seed": result.seed,
-            "shots": result.shots,
-        })
-        sys.stdout.writelines(
-            f'{{"record": "sample-count", "detectors": [{label}], "count": {count}, '
-            f'"frequency": {count / result.shots!r}}}\n' for label, count in rows)
-        _emit_record({
-            "record": "sample-correlation",
-            "estimate": _complex_pair(result.correlation.value),
-        })
-        return _EXIT_OK
-    _scenario_header_text(scenario)
-    _emit()
-    _emit(f"sampling: {result.shots} shots, seed {result.seed}, "
-          f"generator {result.generator}")
-    sys.stdout.writelines(
-        f"  ({label})  count = {count}  frequency = {count / result.shots:.6f}\n"
-        for label, count in rows)
-    _emit(f"estimated E = {_format_complex(result.correlation.value)}")
-    return _EXIT_OK
+
+    def rows(fmt):
+        counts = ((", ".join([labels[k] for k in outcome]), count)
+                  for outcome, count in result.counts.items())
+        if fmt == "records":
+            return (f'{{"record": "sample-count", "detectors": [{label}], "count": {count}, '
+                    f'"frequency": {count / result.shots!r}}}\n' for label, count in counts)
+        return (f"  ({label})  count = {count}  frequency = {count / result.shots:.6f}\n"
+                for label, count in counts)
+
+    yield _run_record("sample", scenario=scenario_to_data(scenario))
+    yield {"record": "sample-meta", "generator": result.generator, "seed": result.seed,
+           "shots": result.shots}
+    yield rows
+    yield {"record": "sample-correlation", "estimate": _complex_pair(result.correlation.value)}
 
 
-def _witness_lines(witness: DeterministicModel) -> list:
-    lines = []
-    for station, values in enumerate(witness.assignments):
-        cells = "  ".join(
-            f"I(setting {s + 1}) = {Residue(v, witness.ports).symbol()}"
-            for s, v in enumerate(values)
-        )
-        lines.append(f"  station {station + 1}: {cells}")
-    return lines
-
-
-def _cmd_lhv_search(args) -> int:
+def _cmd_lhv_search(args):
     scenario = _load_scenario(args)
-    if scenario.catalog is None or not scenario.constraints:
-        _fail("invalid", "lhv-search needs a constraints block in the scenario")
-        return _EXIT_ERROR
-    started = time.perf_counter()
-    result: CountResult = count_satisfying(scenario.catalog, scenario.constraints)
+    if scenario.catalog is None:
+        raise GhzportError("lhv-search needs a constraints block in the scenario")
+    if not scenario.constraints:
+        raise GhzportError("lhv-search needs at least one constraint in constraints.require")
+    result = count_satisfying(scenario.catalog, scenario.constraints)
     forced = ghz_forced_value(scenario.constraints, scenario.catalog)
-    elapsed = time.perf_counter() - started
-    _diagnostic(f"ghzport: lhv-search wall clock: {elapsed:.6f} s")
-    if args.format == "records":
-        _emit_record(_run_record("lhv-search", scenario=scenario_to_data(scenario)))
-        _emit_record({
-            "record": "lhv-search",
-            "model_space": scenario.catalog.model_count,
-            "satisfying": result.count,
-            "witness": None if result.witness is None else
-                [list(v) for v in result.witness.assignments],
-            "forced_pattern": None if forced is None else
-                [i + 1 for i in forced.pattern],
-            "forced_class": _class_json(None if forced is None else forced.residue),
-        })
-        return _EXIT_OK
-    _emit(f"deterministic model space: {scenario.catalog.model_count} models")
-    _emit(f"models satisfying all {len(scenario.constraints)} constraints: "
-          f"{result.count}")
-    if result.witness is not None:
-        _emit("witness (lexicographically smallest):")
-        for line in _witness_lines(result.witness):
-            _emit(line)
-    else:
-        _emit("witness: none")
-    if forced is not None:
-        pattern = ", ".join(str(i + 1) for i in forced.pattern)
-        _emit(f"forced value: pattern ({pattern}) must give {forced.residue.symbol()}")
-    else:
-        _emit("forced value: not derivable from these constraints")
-    return _EXIT_OK
+    yield _run_record("lhv-search", scenario=scenario_to_data(scenario))
+    yield {"record": "lhv-search", "model_space": scenario.catalog.model_count,
+           "satisfying": result.count, "witness": _witness_json(result.witness),
+           **_forced_json(forced)}
 
 
-def _print_paradox_text(report: ContradictionReport) -> None:
+def _cmd_paradox(args):
+    report = run_paradox(args.N, enumerate_models=not args.skip_enumeration)
     scenario = report.scenario
-    _emit(f"GHZ paradox scenario: N = {scenario.particles} particles, "
-          f"M = {scenario.ports} ports per station")
-    _emit(f"delta = {scenario.delta.describe()}")
-    _emit("graded setting   g: " + "  ".join(a.describe() for a in scenario.graded))
-    _emit("reference setting r: " + "  ".join(a.describe() for a in scenario.reference))
-    _emit()
-    _emit("experiment        settings      quantum class")
-    letters = {0: "g", 1: "r"}
+    yield _run_record("paradox", particles=scenario.particles, ports=scenario.ports,
+                      delta=angle_to_json(scenario.delta),
+                      graded=[angle_to_json(a) for a in scenario.graded],
+                      reference=[angle_to_json(a) for a in scenario.reference])
     for experiment, klass in zip(scenario.experiments, report.quantum_classes):
-        settings = " ".join(letters[i] for i in experiment.pattern)
-        _emit(f"  {experiment.label:<15} {settings:<13} {klass.symbol()}")
-    _emit()
-    if report.forced is not None:
-        pattern = " ".join(letters[i] for i in report.forced.pattern)
-        _emit(f"algebraic stage: multiplying the {scenario.particles} swap "
-              f"constraints forces pattern [{pattern}] to {report.forced.residue.symbol()}")
-    else:
-        _emit("algebraic stage: no value is forced (unexpected)")
-    if report.enumeration_note is not None:
-        _emit(f"exhaustive stage: {report.enumeration_note}")
-    else:
-        _emit(f"exhaustive stage: {scenario.catalog.model_count} models; "
-              f"{report.swap_model_count} satisfy the swap constraints; "
-              f"{report.full_model_count} satisfy all "
-              f"{len(scenario.experiments)} constraints")
-        if report.witness is not None:
-            _emit("witness for the swap constraints alone:")
-            for line in _witness_lines(report.witness):
-                _emit(line)
-    _emit()
-    quantum = report.target_class
-    if report.contradiction:
-        _emit(f"contradiction: quantum predicts {quantum.symbol()} (E = 1) at the "
-              f"all-reference pattern; local models force "
-              f"{report.forced.residue.symbol()}  -> VERIFIED")
-    else:
-        _emit("contradiction: NOT PRESENT (forced value matches the quantum class)")
-
-
-def _cmd_paradox(args) -> int:
-    started = time.perf_counter()
-    try:
-        report = run_paradox(args.N, enumerate_models=not args.skip_enumeration)
-    except ComputationIntegrityError as exc:
-        _fail("paradox-mismatch", str(exc))
-        return _EXIT_MISMATCH
-    elapsed = time.perf_counter() - started
-    if args.format == "records":
-        scenario = report.scenario
-        _emit_record(_run_record(
-            "paradox",
-            particles=scenario.particles,
-            ports=scenario.ports,
-            delta=angle_to_json(scenario.delta),
-            graded=[angle_to_json(a) for a in scenario.graded],
-            reference=[angle_to_json(a) for a in scenario.reference],
-        ))
-        for experiment, klass in zip(scenario.experiments, report.quantum_classes):
-            _emit_record({
-                "record": "experiment",
-                "label": experiment.label,
-                "pattern": [i + 1 for i in experiment.pattern],
-                "quantum_class": _class_json(klass),
-            })
-        _emit_record({
-            "record": "lhv",
-            "forced_pattern": None if report.forced is None else
-                [i + 1 for i in report.forced.pattern],
-            "forced_class": _class_json(
-                None if report.forced is None else report.forced.residue),
-            "swap_models": report.swap_model_count,
-            "all_models": report.full_model_count,
-            "witness": None if report.witness is None else
-                [list(v) for v in report.witness.assignments],
-            "enumeration": report.enumeration_note or "complete",
-        })
-        _emit_record({
-            "record": "verdict",
-            "contradiction": report.contradiction,
-            "verified": report.verified,
-            "quantum_target_class": _class_json(report.target_class),
-        })
-    else:
-        _print_paradox_text(report)
-    _diagnostic(f"ghzport: paradox wall clock: {elapsed:.6f} s")
-    if not report.verified:
-        _fail("paradox-mismatch",
-              f"the N = {args.N} contradiction did not verify as predicted")
-        return _EXIT_MISMATCH
-    return _EXIT_OK
+        yield {"record": "experiment", "label": experiment.label,
+               "pattern": [i + 1 for i in experiment.pattern],
+               "quantum_class": _class_json(klass)}
+    yield {"record": "lhv", **_forced_json(report.forced),
+           "swap_models": report.swap_model_count, "all_models": report.full_model_count,
+           "witness": _witness_json(report.witness),
+           "enumeration": report.enumeration_note or "complete"}
+    yield {"record": "verdict", "contradiction": report.contradiction,
+           "verified": report.verified,
+           "quantum_target_class": _class_json(report.target_class)}
 
 
 def _bundled_names() -> list:
@@ -385,18 +226,163 @@ def _bundled_names() -> list:
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _cmd_examples(args) -> int:
+def _cmd_examples(args):
+    names = _bundled_names()
     if args.name is None:
-        for name in _bundled_names():
-            _emit(name)
-        return _EXIT_OK
-    resource = resources.files("ghzport").joinpath("scenarios", f"{args.name}.json")
-    if not resource.is_file():
-        _fail("invalid", f"no bundled scenario named {args.name!r}; "
-              f"available: {', '.join(_bundled_names())}")
-        return _EXIT_ERROR
-    sys.stdout.write(resource.read_text(encoding="utf-8"))
-    return _EXIT_OK
+        yield lambda fmt: [name + "\n" for name in names]
+        return
+    if args.name not in names:
+        raise GhzportError(f"no bundled scenario named {args.name!r}; "
+                           f"available: {', '.join(names)}")
+    text = resources.files("ghzport").joinpath("scenarios", f"{args.name}.json").read_text(
+        encoding="utf-8")
+    yield lambda fmt: [text]
+
+
+# --- text rendering: one renderer per record type -----------------------------
+
+#: 1-based paradox setting index -> its letter (graded, reference).
+_LETTERS = {1: "g", 2: "r"}
+
+
+def _symbol(klass) -> str:
+    return Residue(klass["k"], klass["mod"]).symbol()
+
+
+def _angle_text(entry) -> str:
+    return PhaseAngle.parse(entry).describe()
+
+
+def _complex_text(pair) -> str:
+    return f"{pair[0]:.12g} {pair[1]:+.12g}i"
+
+
+def _witness_lines(witness, ports: int):
+    for station, values in enumerate(witness):
+        cells = "  ".join(f"I(setting {s + 1}) = {Residue(v, ports).symbol()}"
+                          for s, v in enumerate(values))
+        yield f"  station {station + 1}: {cells}"
+
+
+def _text_run(run, seen):
+    """The header each command prints before its results; lhv-search has none."""
+    command = run["command"]
+    if command == "multiport":
+        yield (f"Bell multiport, M = {run['ports']} ports "
+               f"(entry modulus 1/sqrt(M) = {1 / run['ports'] ** 0.5:.12g})")
+        yield "rows: input port; columns: output port"
+    elif command == "paradox":
+        yield (f"GHZ paradox scenario: N = {run['particles']} particles, "
+               f"M = {run['ports']} ports per station")
+        yield f"delta = {_angle_text(run['delta'])}"
+        yield "graded setting   g: " + "  ".join(map(_angle_text, run["graded"]))
+        yield "reference setting r: " + "  ".join(map(_angle_text, run["reference"]))
+        yield ""
+        yield "experiment        settings      quantum class"
+    elif command != "lhv-search":
+        scenario = run["scenario"]
+        yield (f"scenario: N = {scenario['particles']} particles, "
+               f"M = {scenario['ports']} ports per station")
+        yield "phases (radians; exact fractions of 2*pi in parentheses):"
+        for l, row in enumerate(scenario["phases"]):
+            yield f"  station {l + 1}: " + "  ".join(map(_angle_text, row))
+        yield ""
+        if command == "probability":
+            yield "joint detection probabilities (detector labels are 1-based):"
+
+
+def _text_correlation(record, seen):
+    scenario = seen["run"]["scenario"]
+    yield f"closed form:  E = {_complex_text(record['closed'])}"
+    yield (f"brute force:  E = {_complex_text(record['brute'])}   "
+           f"({scenario['ports'] ** scenario['particles']} outcomes)")
+    yield f"|closed - brute| = {record['difference']:.3e}"
+    exact, perfect = record["exact_class"], record["perfect_class"]
+    yield (f"exact class: {_symbol(exact)}  (rational path)" if exact is not None
+           else "exact class: none (inputs are not all exact rationals)")
+    yield (f"perfect correlation: class {_symbol(perfect)}" if perfect is not None
+           else "perfect correlation: none (|E| < 1)")
+
+
+def _text_lhv_search(record, seen):
+    scenario = seen["run"]["scenario"]
+    yield f"deterministic model space: {record['model_space']} models"
+    yield (f"models satisfying all {len(scenario['constraints']['require'])} constraints: "
+           f"{record['satisfying']}")
+    if record["witness"] is not None:
+        yield "witness (lexicographically smallest):"
+        yield from _witness_lines(record["witness"], scenario["ports"])
+    else:
+        yield "witness: none"
+    pattern = record["forced_pattern"]
+    yield (f"forced value: pattern ({', '.join(map(str, pattern))}) must give "
+           f"{_symbol(record['forced_class'])}" if pattern is not None
+           else "forced value: not derivable from these constraints")
+
+
+def _text_lhv(record, seen):
+    run = seen["run"]
+    yield ""
+    if record["forced_pattern"] is not None:
+        pattern = " ".join(_LETTERS[i] for i in record["forced_pattern"])
+        yield (f"algebraic stage: multiplying the {run['particles']} swap "
+               f"constraints forces pattern [{pattern}] to {_symbol(record['forced_class'])}")
+    else:
+        yield "algebraic stage: no value is forced (unexpected)"
+    if record["enumeration"] != "complete":
+        yield f"exhaustive stage: {record['enumeration']}"
+        return
+    yield (f"exhaustive stage: {run['ports'] ** (2 * run['particles'])} models; "
+           f"{record['swap_models']} satisfy the swap constraints; "
+           f"{record['all_models']} satisfy all {run['particles'] + 1} constraints")
+    if record["witness"] is not None:
+        yield "witness for the swap constraints alone:"
+        yield from _witness_lines(record["witness"], run["ports"])
+
+
+def _text_verdict(record, seen):
+    yield ""
+    yield (f"contradiction: quantum predicts {_symbol(record['quantum_target_class'])} "
+           f"(E = 1) at the all-reference pattern; local models force "
+           f"{_symbol(seen['lhv']['forced_class'])}  -> VERIFIED" if record["contradiction"]
+           else "contradiction: NOT PRESENT (forced value matches the quantum class)")
+
+
+_TEXT = {
+    "run": _text_run,
+    "multiport-row": lambda record, seen: [
+        "  " + "  ".join(f"{re:+.9f}{im:+.9f}i" for re, im in record["entries"])],
+    "probability-total": lambda record, seen: [f"total = {record['total']:.12g}"],
+    "correlation": _text_correlation,
+    "sample-meta": lambda record, seen: [
+        f"sampling: {record['shots']} shots, seed {record['seed']}, "
+        f"generator {record['generator']}"],
+    "sample-correlation": lambda record, seen: [
+        f"estimated E = {_complex_text(record['estimate'])}"],
+    "lhv-search": _text_lhv_search,
+    "experiment": lambda record, seen: [
+        f"  {record['label']:<15} {' '.join(_LETTERS[i] for i in record['pattern']):<13} "
+        f"{_symbol(record['quantum_class'])}"],
+    "lhv": _text_lhv,
+    "verdict": _text_verdict,
+}
+
+
+def _write(records, fmt: str) -> dict:
+    """Print each record (or callable of table rows) in ``fmt`` and return the
+    latest record of each type."""
+    seen = {}
+    for record in records:
+        if callable(record):
+            sys.stdout.writelines(record(fmt))
+            continue
+        seen[record["record"]] = record
+        if fmt == "records":
+            print(json.dumps(record, separators=(", ", ": ")))
+        else:
+            for line in _TEXT[record["record"]](record, seen):
+                print(line)
+    return seen
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -472,16 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("examples", help="list or print bundled scenarios")
     sub.add_argument("--name", default=None, help="print this bundled scenario")
-    sub.set_defaults(handler=_cmd_examples)
+    sub.set_defaults(handler=_cmd_examples, format="text")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        seen = _write(args.handler(args), args.format)
     except ScenarioError as exc:
         _fail("scenario", f"{len(exc.errors)} validation error(s) in "
               f"{exc.source or 'scenario'}")
@@ -492,11 +478,23 @@ def main(argv=None) -> int:
         _fail("guard", str(exc))
         return _EXIT_GUARD
     except ComputationIntegrityError as exc:
+        if args.command == "paradox":  # the verdict did not come out as predicted
+            _fail("paradox-mismatch", str(exc))
+            return _EXIT_MISMATCH
         _fail("integrity", str(exc))
         return _EXIT_ERROR
     except (ValueError, GhzportError) as exc:
         _fail("invalid", str(exc))
         return _EXIT_ERROR
+    if args.command in ("lhv-search", "paradox"):
+        _diagnostic(f"ghzport: {args.command} wall clock: "
+                    f"{time.perf_counter() - started:.6f} s")
+    verdict = seen.get("verdict")
+    if verdict is not None and not verdict["verified"]:
+        _fail("paradox-mismatch", f"the N = {seen['run']['particles']} contradiction "
+              f"did not verify as predicted")
+        return _EXIT_MISMATCH
+    return _EXIT_OK
 
 
 def run() -> None:

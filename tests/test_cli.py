@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -7,7 +8,9 @@ from importlib import resources
 
 import pytest
 
+import ghzport.cli as cli
 from ghzport.cli import main
+from ghzport.errors import ComputationIntegrityError
 from ghzport.quantum import full_distribution, sample_outcomes
 from ghzport.scenario import parse_scenario, parse_scenario_data
 
@@ -22,6 +25,11 @@ GOLDEN_COMMANDS = {
     "paradox-n64": ["paradox", "--N", "64"],
     "lhv-search-ghz-n4-m3": ["lhv-search", str(SCENARIOS / "ghz-n4-m3.json")],
     "lhv-search-ghz-n5-m4": ["lhv-search", str(SCENARIOS / "ghz-n5-m4.json")],
+    "multiport-m3": ["multiport", "--ports", "3"],
+    **{f"{kind}-{name}": [kind, str(SCENARIOS / f"{name}.json"), *extra]
+       for kind, extra in (("correlate", []), ("probability", []),
+                           ("sample", ["--shots", "1000", "--seed", "5"]))
+       for name in ("bell-epr-n2-m3", "ghz-n4-m3")},
 }
 
 
@@ -278,6 +286,21 @@ class TestLhvSearch:
         assert code == 1
         assert "constraints" in err
 
+    def test_missing_block_and_empty_require_are_told_apart(self, capsys, tmp_path):
+        doc = {"schema": "ghzport-scenario/1", "particles": 2, "ports": 2,
+               "phases": [["0/1", "0/1"], ["0/1", "1/2"]]}
+        for block, message in [
+                (None, "lhv-search needs a constraints block in the scenario"),
+                ({"require": []},
+                 "lhv-search needs at least one constraint in constraints.require")]:
+            if block is not None:
+                doc["constraints"] = block
+            path = tmp_path / "constraints.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run_cli(capsys, "lhv-search", str(path))
+            assert (code, out) == (1, "")
+            assert f"ghzport: error [invalid] {message}\n" in err
+
 
 class TestParadox:
     def test_n4_text(self, capsys):
@@ -305,6 +328,28 @@ class TestParadox:
         code, _, err = run_cli(capsys, "paradox", "--N", "3")
         assert code == 1
         assert "error [invalid]" in err
+
+    def test_unverified_verdict_exits_4_after_its_report(self, capsys, monkeypatch):
+        real = cli.run_paradox
+        monkeypatch.setattr(cli, "run_paradox", lambda n, enumerate_models: dataclasses.replace(
+            real(n, enumerate_models=enumerate_models), contradiction=False))
+        for fmt, shown in [("text", "contradiction: NOT PRESENT"),
+                           ("records", '"verified": false')]:
+            code, out, err = run_cli(capsys, "paradox", "--N", "4", "--format", fmt)
+            assert code == 4
+            assert shown in out.splitlines()[-1]
+            clock, error = err.splitlines()
+            assert clock.startswith("ghzport: paradox wall clock: ")
+            assert error == ("ghzport: error [paradox-mismatch] the N = 4 contradiction "
+                             "did not verify as predicted")
+
+    def test_integrity_error_exits_4_with_empty_stdout(self, capsys, monkeypatch):
+        def broken(n, enumerate_models):
+            raise ComputationIntegrityError("experiment 'all reference': classes differ")
+        monkeypatch.setattr(cli, "run_paradox", broken)
+        assert run_cli(capsys, "paradox", "--N", "4") == (
+            4, "", "ghzport: error [paradox-mismatch] experiment 'all reference': "
+                   "classes differ\n")
 
 
 class TestDispatch:
@@ -340,6 +385,13 @@ class TestDispatch:
         code, out, _ = run_cli(capsys, "examples", "--name", "ghz-n4-m3")
         assert code == 0
         assert json.loads(out)["particles"] == 4
+
+    def test_examples_name_stays_inside_the_bundle(self, capsys, tmp_path):
+        (tmp_path / "secret.json").write_text('{"particles": 1}', encoding="utf-8")
+        name = os.path.relpath(tmp_path / "secret", str(SCENARIOS))
+        code, out, err = run_cli(capsys, "examples", "--name", name)
+        assert (code, out) == (1, "")
+        assert f"error [invalid] no bundled scenario named {name!r}; available: " in err
 
     def test_console_entry_point(self, ghz4_path):
         proc = run_module("paradox", "--N", "4")
@@ -381,3 +433,31 @@ class TestDispatch:
         assert proc.returncode == 0
         with open(os.path.join(GOLDEN, f"{name}.{fmt}.txt"), "rb") as golden:
             assert proc.stdout == golden.read()
+
+
+#: A valid scenario with neither a sampling nor a constraints block.
+_BARE = {"schema": "ghzport-scenario/1", "particles": 1, "ports": 2, "phases": [[0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("argv, doc, code, word", [
+    (["correlate"], {"schema": "ghzport-scenario/1", "particles": 2, "ports": 3,
+                     "phases": [[0, 0], [0, 0, 0]], "junk": 1}, 1, "scenario"),
+    (["probability"], {"schema": "ghzport-scenario/1", "particles": 8, "ports": 8,
+                       "phases": [[0.0] * 8 for _ in range(8)]}, 3, "guard"),
+    (["sample"], _BARE, 1, "invalid"),
+    (["lhv-search"], _BARE, 1, "invalid"),
+    (["paradox", "--N", "3"], None, 1, "invalid"),
+    (["examples", "--name", "nope"], None, 1, "invalid"),
+], ids=["bad-scenario", "enumeration-guard", "no-shots", "no-constraints", "paradox-n3",
+        "unknown-example"])
+def test_error_exit_prints_nothing_on_stdout(capsys, tmp_path, argv, doc, code, word, fmt):
+    if doc is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [*argv, str(path)]
+    if argv[0] != "examples":  # the only subcommand without --format
+        argv = [*argv, "--format", fmt]
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert f"ghzport: error [{word}] " in err

@@ -1,0 +1,172 @@
+"""Compare ghzport's command-line output between two source trees.
+
+Usage: python tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+
+Builds one command set:
+  - every command of the benchmark's three workloads and its probes at seeds
+    3 and 4, in both formats;
+  - ``paradox --N`` 3 to 65, with and without ``--skip-enumeration``, in both
+    formats;
+  - the four bundled scenarios under correlate, probability, sample and
+    lhv-search, in both formats;
+  - examples and multiport cases, errors included.
+Commands that occur twice run once.
+
+Then it starts one child per tree, with that tree's ``src`` first on
+PYTHONPATH and the tree as working directory, which runs every command
+through ``ghzport.cli.main`` in process. It lists every command whose stdout,
+exit code or stderr differs, with wall-clock figures masked, and exits 1 if
+any does.
+
+The workload commands come from CHANGE_TREE's ``perfbench/workloads.py``;
+neither tree is written to (no bytecode either). Scenario files the
+workloads generate go to a temporary directory that both children read.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (3, 4)
+BUNDLED = ("mach-zehnder-n1-m2", "bell-epr-n2-m3", "ghz-n4-m3", "ghz-n5-m4")
+EXTRA = (
+    ("examples",),
+    ("examples", "--name", "ghz-n4-m3"),
+    ("examples", "--name", "nope"),
+    ("multiport", "--ports", "1"),
+    ("multiport", "--ports", "65"),
+)
+WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ s")
+
+
+def _both_formats(argv):
+    base = list(argv)
+    if "--format" in base:
+        at = base.index("--format")
+        del base[at:at + 2]
+    return [base + ["--format", fmt] for fmt in ("text", "records")]
+
+
+def _load_workloads(tree: Path):
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(
+        "compare_workloads", tree / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def command_set(tree: Path, inputs: Path) -> list:
+    """Every argv to compare; relative scenario paths resolve in each tree."""
+    workloads = _load_workloads(tree)
+    commands = []
+    cwd = os.getcwd()
+    os.chdir(tree)  # workloads.py reads the bundled scenarios relative to the tree
+    try:
+        for seed in SEEDS:
+            for workload in workloads.WORKLOADS:
+                directory = inputs / f"{workload}-{seed}"
+                directory.mkdir()
+                batch = workloads.build(workload, seed, directory) + workloads.probes(directory)
+                for command in batch:
+                    commands.extend(_both_formats(command.argv))
+    finally:
+        os.chdir(cwd)
+    for n in range(3, 66):
+        for skip in ((), ("--skip-enumeration",)):
+            commands.extend(_both_formats(("paradox", "--N", str(n), *skip)))
+    for name in BUNDLED:
+        path = f"src/ghzport/scenarios/{name}.json"
+        for kind in ("correlate", "probability", "sample", "lhv-search"):
+            commands.extend(_both_formats((kind, path)))
+    commands.extend(list(argv) for argv in EXTRA)
+    unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
+    return list(unique.values())
+
+
+def run_child(commands_path: str, results_path: str) -> None:
+    """Run each command through ghzport.cli.main; write code, stdout digest
+    and masked stderr per command."""
+    from ghzport.cli import main
+
+    results = []
+    for argv in json.loads(Path(commands_path).read_text(encoding="utf-8")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        stdout = out.getvalue().encode("utf-8")
+        results.append({"code": code, "stdout": hashlib.sha256(stdout).hexdigest(),
+                        "stdout_bytes": len(stdout),
+                        "stderr": WALL_CLOCK.sub("wall clock: <masked> s", err.getvalue())})
+    Path(results_path).write_text(json.dumps(results), encoding="utf-8")
+
+
+def compare(parent: Path, change: Path) -> int:
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
+        scratch = Path(scratch)
+        inputs = scratch / "inputs"
+        inputs.mkdir()
+        commands = command_set(change, inputs)
+        commands_path = scratch / "commands.json"
+        commands_path.write_text(json.dumps(commands), encoding="utf-8")
+        children = {}
+        for label, tree in (("parent", parent), ("change", change)):
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
+            results_path = scratch / f"{label}.json"
+            process = subprocess.Popen(
+                [sys.executable, "-B", str(Path(__file__).resolve()), "--child",
+                 str(commands_path), str(results_path)], cwd=tree, env=env)
+            children[label] = (process, results_path)
+        results = {}
+        for label, (process, results_path) in children.items():
+            if process.wait() != 0:
+                print(f"compare_outputs: the {label} child exited {process.returncode}",
+                      file=sys.stderr)
+                return 2
+            results[label] = json.loads(results_path.read_text(encoding="utf-8"))
+    differing = 0
+    for argv, old, new in zip(commands, results["parent"], results["change"]):
+        fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
+        if not fields:
+            continue
+        differing += 1
+        print(f"DIFFERS ({', '.join(fields)}): ghzport {' '.join(argv)}")
+        if "code" in fields:
+            print(f"  exit code {old['code']} -> {new['code']}")
+        if "stdout" in fields:
+            print(f"  stdout {old['stdout_bytes']} -> {new['stdout_bytes']} bytes")
+        if "stderr" in fields:
+            print(f"  stderr {old['stderr']!r}\n      -> {new['stderr']!r}")
+    print(f"{len(commands)} commands compared, {differing} differ")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        run_child(*argv[1:])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    return compare(*(Path(tree).resolve() for tree in argv))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
