@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -55,8 +54,39 @@ def root_of_unity(k: int, modulus: int) -> complex:
     return cmath.exp(2j * math.pi * (k % modulus) / modulus)
 
 
-@dataclass(frozen=True)
-class Residue:
+class _Record:
+    """Base of the frozen record classes. A subclass lists its fields in
+    ``_fields``, in constructor order, and stores them once, in ``__init__``,
+    through ``self.__dict__``. Equality (same class only) and hashing read
+    ``_key``, the repr reads every field."""
+
+    _fields = ()
+
+    def _key(self) -> tuple:
+        values = self.__dict__
+        return tuple([values[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        values = self.__dict__
+        shown = ", ".join(f"{name}={values[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Residue(_Record):
     """An integer modulo M, the exact currency of outcomes and classes.
 
     ``Residue(k, M)`` names the root of unity exp(2*pi*i*k/M). Addition and
@@ -64,15 +94,14 @@ class Residue:
     complex numbers.
     """
 
-    value: int
-    modulus: int
+    _fields = ("value", "modulus")
 
-    def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {self.modulus!r}")
-        if not isinstance(self.value, int):
-            raise ValueError(f"residue value must be an integer, got {self.value!r}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        if not isinstance(modulus, int) or modulus < 2:
+            raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+        if not isinstance(value, int):
+            raise ValueError(f"residue value must be an integer, got {value!r}")
+        self.__dict__.update(value=value % modulus, modulus=modulus)
 
     def _require_same_modulus(self, other: "Residue") -> None:
         if self.modulus != other.modulus:
@@ -104,8 +133,7 @@ class Residue:
         return f"γ_{self.modulus}^{self.value}"
 
 
-@dataclass(frozen=True)
-class PhaseAngle:
+class PhaseAngle(_Record):
     """A phase-shifter setting in [0, 2*pi).
 
     ``turns``, when present, is the exact angle as a reduced fraction of a
@@ -114,20 +142,18 @@ class PhaseAngle:
     Angles coming from plain numbers live only on the floating track.
     """
 
-    radians: float
-    turns: Optional[Fraction] = None
+    _fields = ("radians", "turns")
 
-    def __post_init__(self):
-        if not (0.0 <= self.radians < TAU):
-            raise ValueError(f"radians must lie in [0, 2*pi), got {self.radians!r}")
-        if self.turns is not None:
-            _checked(self.turns)
-            if not (0 <= self.turns < 1):
-                raise ValueError(f"turns must lie in [0, 1), got {self.turns}")
-            if abs(self.radians - TAU * float(self.turns)) >= 1e-12:
-                raise ValueError(
-                    f"radians {self.radians} inconsistent with {self.turns} of a turn"
-                )
+    def __init__(self, radians: float, turns: Optional[Fraction] = None):
+        if not (0.0 <= radians < TAU):
+            raise ValueError(f"radians must lie in [0, 2*pi), got {radians!r}")
+        if turns is not None:
+            _checked(turns)
+            if not (0 <= turns < 1):
+                raise ValueError(f"turns must lie in [0, 1), got {turns}")
+            if abs(radians - TAU * float(turns)) >= 1e-12:
+                raise ValueError(f"radians {radians} inconsistent with {turns} of a turn")
+        self.__dict__.update(radians=radians, turns=turns)
 
     @classmethod
     def from_radians(cls, radians: float) -> "PhaseAngle":

@@ -344,7 +344,8 @@ def _text_verdict(record, seen):
     yield ""
     yield (f"contradiction: quantum predicts {_symbol(record['quantum_target_class'])} "
            f"(E = 1) at the all-reference pattern; local models force "
-           f"{_symbol(seen['lhv']['forced_class'])}  -> VERIFIED" if record["contradiction"]
+           f"{_symbol(seen['lhv']['forced_class'])}  -> "
+           f"{'VERIFIED' if record['verified'] else 'UNCONFIRMED'}" if record["contradiction"]
            else "contradiction: NOT PRESENT (forced value matches the quantum class)")
 
 

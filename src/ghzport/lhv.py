@@ -12,10 +12,9 @@ constraints side by side.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .angles import PhaseAngle, Residue
+from .angles import PhaseAngle, Residue, _Record
 from .errors import ResourceLimitError
 from .quantum import PhaseSettings
 
@@ -23,25 +22,25 @@ from .quantum import PhaseSettings
 MODEL_GUARD = 10**8
 
 
-@dataclass(frozen=True)
-class SettingsCatalog:
+class SettingsCatalog(_Record):
     """Per-station lists of allowed local settings (rows of M phase angles)."""
 
-    ports: int
-    station_settings: Tuple[Tuple[Tuple[PhaseAngle, ...], ...], ...]
+    _fields = ("ports", "station_settings")
 
-    def __post_init__(self):
-        if not self.station_settings:
+    def __init__(self, ports: int,
+                 station_settings: Tuple[Tuple[Tuple[PhaseAngle, ...], ...], ...]):
+        if not station_settings:
             raise ValueError("catalog needs at least one station")
-        for index, settings in enumerate(self.station_settings):
+        for index, settings in enumerate(station_settings):
             if not settings:
                 raise ValueError(f"station {index + 1} has no settings")
             for row in settings:
-                if len(row) != self.ports:
+                if len(row) != ports:
                     raise ValueError(
                         f"station {index + 1} has a setting of {len(row)} phases, "
-                        f"expected {self.ports}"
+                        f"expected {ports}"
                     )
+        self.__dict__.update(ports=ports, station_settings=station_settings)
 
     @property
     def stations(self) -> int:
@@ -63,7 +62,7 @@ class SettingsCatalog:
                 f"pattern has {len(indices)} entries, expected {self.stations}"
             )
         for station, index in enumerate(indices):
-            if not isinstance(index, numbers.Integral) or not (
+            if not (type(index) is int or isinstance(index, numbers.Integral)) or not (
                 0 <= index < len(self.station_settings[station])
             ):
                 raise ValueError(
@@ -80,44 +79,48 @@ class SettingsCatalog:
         )
 
 
-@dataclass(frozen=True)
-class DeterministicModel:
+class DeterministicModel(_Record):
     """A full assignment table: (station, setting) -> residue mod M."""
 
-    ports: int
-    assignments: Tuple[Tuple[int, ...], ...]
+    _fields = ("ports", "assignments")
 
-    def __post_init__(self):
-        for station, values in enumerate(self.assignments):
+    def __init__(self, ports: int, assignments: Tuple[Tuple[int, ...], ...]):
+        for station, values in enumerate(assignments):
             for value in values:
-                if not isinstance(value, int) or not 0 <= value < self.ports:
+                if not isinstance(value, int) or not 0 <= value < ports:
                     raise ValueError(
                         f"station {station + 1} assignment {value!r} is not a "
-                        f"residue mod {self.ports}"
+                        f"residue mod {ports}"
                     )
+        self.__dict__.update(ports=ports, assignments=assignments)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(_Record):
     """One perfect-correlation requirement: on this setting pattern, the
     product of the stations' values must be the Bell number of ``required``."""
 
-    pattern: Tuple[int, ...]
-    required: Residue
+    _fields = ("pattern", "required")
+
+    def __init__(self, pattern: Tuple[int, ...], required: Residue):
+        self.__dict__.update(pattern=pattern, required=required)
 
 
-@dataclass(frozen=True)
-class ForcedValue:
+class ForcedValue(_Record):
     """Result of multiplying constraints: the product on ``pattern`` is forced."""
 
-    pattern: Tuple[int, ...]
-    residue: Residue
+    _fields = ("pattern", "residue")
+
+    def __init__(self, pattern: Tuple[int, ...], residue: Residue):
+        self.__dict__.update(pattern=pattern, residue=residue)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    count: int
-    witness: Optional[DeterministicModel]
+class CountResult(_Record):
+    """How many models satisfy a constraint set, and the first one that does."""
+
+    _fields = ("count", "witness")
+
+    def __init__(self, count: int, witness: Optional[DeterministicModel]):
+        self.__dict__.update(count=count, witness=witness)
 
 
 def model_value(model: DeterministicModel, pattern: Sequence[int]) -> Residue:
@@ -130,7 +133,9 @@ def model_value(model: DeterministicModel, pattern: Sequence[int]) -> Residue:
     total = 0
     for station, setting in enumerate(indices):
         values = model.assignments[station]
-        if not isinstance(setting, numbers.Integral) or not 0 <= setting < len(values):
+        if not (type(setting) is int or isinstance(setting, numbers.Integral)) or not (
+            0 <= setting < len(values)
+        ):
             raise ValueError(
                 f"station {station + 1} setting index {setting!r} out of range"
             )

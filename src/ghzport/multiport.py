@@ -9,29 +9,25 @@ root-of-unity table, so no phase drift accumulates for larger M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import root_of_unity
+from .angles import _Record, root_of_unity
 
 #: Largest supported port count; paradox scenarios need M = N-1 only.
 MAX_PORTS = 64
 
 
-@dataclass(frozen=True)
-class MultiportMatrix:
+class MultiportMatrix(_Record):
     """A dense M x M unitary, indexed (input port, output port), 0-based."""
 
-    ports: int
-    entries: np.ndarray
+    _fields = ("ports", "entries")
 
-    def __post_init__(self):
-        if self.entries.shape != (self.ports, self.ports):
-            raise ValueError(
-                f"entries must be {self.ports}x{self.ports}, got {self.entries.shape}"
-            )
-        self.entries.setflags(write=False)
+    def __init__(self, ports: int, entries: np.ndarray):
+        if entries.shape != (ports, ports):
+            raise ValueError(f"entries must be {ports}x{ports}, got {entries.shape}")
+        entries.setflags(write=False)
+        self.__dict__.update(ports=ports, entries=entries)
 
 
 def unit_roots(modulus: int) -> np.ndarray:

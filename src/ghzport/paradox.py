@@ -12,11 +12,10 @@ the all-reference pattern as well, which is the contradiction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .angles import PhaseAngle, Residue
+from .angles import PhaseAngle, Residue, _Record
 from .errors import ComputationIntegrityError
 from .lhv import (
     MODEL_GUARD,
@@ -37,18 +36,17 @@ GRADED, REFERENCE = 0, 1
 MAX_PARTICLES = 64
 
 
-@dataclass(frozen=True)
-class ParadoxExperiment:
+class ParadoxExperiment(_Record):
     """One run of the gedankenexperiment: a setting pattern and the exact
     correlation class quantum mechanics predicts for it."""
 
-    pattern: Tuple[int, ...]
-    expected: Residue
-    label: str
+    _fields = ("pattern", "expected", "label")
+
+    def __init__(self, pattern: Tuple[int, ...], expected: Residue, label: str):
+        self.__dict__.update(pattern=pattern, expected=expected, label=label)
 
 
-@dataclass(frozen=True)
-class ParadoxScenario:
+class ParadoxScenario(_Record):
     """The full N = M+1 construction.
 
     ``experiments[:-1]`` are the constraint experiments multiplied together
@@ -56,13 +54,13 @@ class ParadoxScenario:
     at the reference setting).
     """
 
-    particles: int
-    ports: int
-    delta: PhaseAngle
-    graded: Tuple[PhaseAngle, ...]
-    reference: Tuple[PhaseAngle, ...]
-    catalog: SettingsCatalog
-    experiments: Tuple[ParadoxExperiment, ...]
+    _fields = ("particles", "ports", "delta", "graded", "reference", "catalog", "experiments")
+
+    def __init__(self, particles: int, ports: int, delta: PhaseAngle,
+                 graded: Tuple[PhaseAngle, ...], reference: Tuple[PhaseAngle, ...],
+                 catalog: SettingsCatalog, experiments: Tuple[ParadoxExperiment, ...]):
+        self.__dict__.update(particles=particles, ports=ports, delta=delta, graded=graded,
+                             reference=reference, catalog=catalog, experiments=experiments)
 
     @property
     def config(self) -> ExperimentConfig:
@@ -131,8 +129,7 @@ def verify_quantum(scenario: ParadoxScenario) -> Tuple[Residue, ...]:
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
+class ContradictionReport(_Record):
     """Everything the contradiction rests on, with its evidence labeled.
 
     The algebraic stage (forced value) always runs; the exhaustive stage is
@@ -141,14 +138,17 @@ class ContradictionReport:
     only, no timings, so two runs of one scenario compare equal.
     """
 
-    scenario: ParadoxScenario
-    quantum_classes: Tuple[Residue, ...]
-    forced: Optional[ForcedValue]
-    swap_model_count: Optional[int]
-    full_model_count: Optional[int]
-    witness: Optional[DeterministicModel]
-    enumeration_note: Optional[str]
-    contradiction: bool
+    _fields = ("scenario", "quantum_classes", "forced", "swap_model_count",
+               "full_model_count", "witness", "enumeration_note", "contradiction")
+
+    def __init__(self, scenario: ParadoxScenario, quantum_classes: Tuple[Residue, ...],
+                 forced: Optional[ForcedValue], swap_model_count: Optional[int],
+                 full_model_count: Optional[int], witness: Optional[DeterministicModel],
+                 enumeration_note: Optional[str], contradiction: bool):
+        self.__dict__.update(
+            scenario=scenario, quantum_classes=quantum_classes, forced=forced,
+            swap_model_count=swap_model_count, full_model_count=full_model_count,
+            witness=witness, enumeration_note=enumeration_note, contradiction=contradiction)
 
     @property
     def target_class(self) -> Residue:

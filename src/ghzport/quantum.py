@@ -17,7 +17,6 @@ import itertools
 import math
 import numbers
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -31,6 +30,7 @@ from .angles import (
     PhaseAngle,
     Residue,
     _checked,
+    _Record,
 )
 from .errors import ComputationIntegrityError, ResourceLimitError
 from .multiport import unit_roots
@@ -53,19 +53,17 @@ _BLOCK = 2**16
 _COLUMNS = 64
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Geometry of the experiment: N stations, each a multiport with M ports."""
 
-    particles: int
-    ports: int
+    _fields = ("particles", "ports")
 
-    def __post_init__(self):
-        if (not isinstance(self.particles, int) or isinstance(self.particles, bool)
-                or self.particles < 1):
-            raise ValueError(f"particles must be an integer >= 1, got {self.particles!r}")
-        if not isinstance(self.ports, int) or isinstance(self.ports, bool) or self.ports < 2:
-            raise ValueError(f"ports must be an integer >= 2, got {self.ports!r}")
+    def __init__(self, particles: int, ports: int):
+        if not isinstance(particles, int) or isinstance(particles, bool) or particles < 1:
+            raise ValueError(f"particles must be an integer >= 1, got {particles!r}")
+        if not isinstance(ports, int) or isinstance(ports, bool) or ports < 2:
+            raise ValueError(f"ports must be an integer >= 2, got {ports!r}")
+        self.__dict__.update(particles=particles, ports=ports)
 
     @property
     def outcome_count(self) -> int:
@@ -87,25 +85,25 @@ def _distinct(rows) -> dict:
     return {id(row): row for row in rows}
 
 
-@dataclass(frozen=True)
-class PhaseSettings:
+class PhaseSettings(_Record):
     """The N x M table of phase-shifter settings, one row per station."""
 
-    rows: Tuple[Tuple[PhaseAngle, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, rows: Tuple[Tuple[PhaseAngle, ...], ...]):
+        if not rows:
             raise ValueError("phase settings need at least one station row")
-        width = len(self.rows[0])
-        for index, row in enumerate(self.rows):
+        width = len(rows[0])
+        for index, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(
                     f"station {index + 1} has {len(row)} phases, expected {width}"
                 )
-        for row in _distinct(self.rows).values():
+        for row in _distinct(rows).values():
             for angle in row:
                 if not isinstance(angle, PhaseAngle):
                     raise ValueError(f"phase entries must be PhaseAngle, got {angle!r}")
+        self.__dict__.update(rows=rows)
 
     @classmethod
     def build(cls, rows) -> "PhaseSettings":
@@ -132,8 +130,7 @@ class PhaseSettings:
         return np.array([[angle.radians for angle in row] for row in self.rows])
 
 
-@dataclass(frozen=True)
-class CorrelationValue:
+class CorrelationValue(_Record):
     """The Bell-number correlation: a complex average of unit-modulus values.
 
     ``exact_class`` is attached only when every input phase carried an exact
@@ -141,12 +138,12 @@ class CorrelationValue:
     exactly the root of unity gamma_M^k.
     """
 
-    value: complex
-    exact_class: Optional[Residue] = None
+    _fields = ("value", "exact_class")
 
-    def __post_init__(self):
-        if abs(self.value) > 1.0 + 1e-12:
-            raise ValueError(f"correlation modulus {abs(self.value)} exceeds 1")
+    def __init__(self, value: complex, exact_class: Optional[Residue] = None):
+        if abs(value) > 1.0 + 1e-12:
+            raise ValueError(f"correlation modulus {abs(value)} exceeds 1")
+        self.__dict__.update(value=value, exact_class=exact_class)
 
 
 def _check_settings(cfg: ExperimentConfig, settings: PhaseSettings) -> None:
@@ -164,7 +161,7 @@ def _check_outcome(cfg: ExperimentConfig, outcome: Sequence[int]) -> Tuple[int, 
             f"outcome has {len(detectors)} entries, expected {cfg.particles}"
         )
     for k in detectors:
-        if not isinstance(k, numbers.Integral) or not 0 <= k < cfg.ports:
+        if not (type(k) is int or isinstance(k, numbers.Integral)) or not 0 <= k < cfg.ports:
             raise ValueError(
                 f"detector indices must be integers in 0..{cfg.ports - 1}, got {k!r}"
             )
@@ -520,7 +517,7 @@ def predict_last(k_class: Residue, observed: Sequence[int]) -> Residue:
     modulus = k_class.modulus
     total = 0
     for k in observed:
-        if not isinstance(k, numbers.Integral) or not 0 <= k < modulus:
+        if not (type(k) is int or isinstance(k, numbers.Integral)) or not 0 <= k < modulus:
             raise ValueError(
                 f"observed detector indices must be integers in 0..{modulus - 1}, got {k!r}"
             )
@@ -528,8 +525,7 @@ def predict_last(k_class: Residue, observed: Sequence[int]) -> Residue:
     return Residue(k_class.value - total, modulus)
 
 
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(_Record):
     """Seeded empirical draw from the exact (implicit) outcome table.
 
     ``counts`` maps each observed outcome tuple (lex order) to its frequency;
@@ -538,12 +534,12 @@ class SampleResult:
     stay portable.
     """
 
-    config: ExperimentConfig
-    shots: int
-    seed: int
-    counts: dict
-    correlation: CorrelationValue
-    generator: str = GENERATOR_NAME
+    _fields = ("config", "shots", "seed", "counts", "correlation", "generator")
+
+    def __init__(self, config: ExperimentConfig, shots: int, seed: int, counts: dict,
+                 correlation: CorrelationValue, generator: str = GENERATOR_NAME):
+        self.__dict__.update(config=config, shots=shots, seed=seed, counts=counts,
+                             correlation=correlation, generator=generator)
 
 
 def sample_outcomes(

@@ -25,11 +25,10 @@ a defaulted seed) surface as notes instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .angles import PhaseAngle, Residue
+from .angles import PhaseAngle, Residue, _Record
 from .errors import ScenarioError
 from .lhv import Constraint, SettingsCatalog
 from .quantum import ExperimentConfig, PhaseSettings
@@ -37,22 +36,29 @@ from .quantum import ExperimentConfig, PhaseSettings
 SCHEMA_ID = "ghzport-scenario/1"
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    shots: int
-    seed: int = 0
+class SamplingSpec(_Record):
+    """Shot count and generator seed for ``sample``."""
+
+    _fields = ("shots", "seed")
+
+    def __init__(self, shots: int, seed: int = 0):
+        self.__dict__.update(shots=shots, seed=seed)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """A validated scenario; ``notes`` carries normalization remarks only."""
 
-    config: ExperimentConfig
-    phases: PhaseSettings
-    catalog: Optional[SettingsCatalog] = None
-    constraints: Optional[Tuple[Constraint, ...]] = None
-    sampling: Optional[SamplingSpec] = None
-    notes: Tuple[str, ...] = field(default=(), compare=False)
+    _fields = ("config", "phases", "catalog", "constraints", "sampling", "notes")
+
+    def __init__(self, config: ExperimentConfig, phases: PhaseSettings,
+                 catalog: Optional[SettingsCatalog] = None,
+                 constraints: Optional[Tuple[Constraint, ...]] = None,
+                 sampling: Optional[SamplingSpec] = None, notes: Tuple[str, ...] = ()):
+        self.__dict__.update(config=config, phases=phases, catalog=catalog,
+                             constraints=constraints, sampling=sampling, notes=notes)
+
+    def _key(self) -> tuple:  # every field but notes, which is left out of eq and hash
+        return tuple([self.__dict__[name] for name in self._fields[:-1]])
 
 
 class _Collector:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -76,6 +75,11 @@ def run_module(*argv, text=True):
 
 def records_of(out):
     return [json.loads(line) for line in out.splitlines()]
+
+
+def _rebuilt(record, **changes):
+    """A copy of a ghzport record with some fields changed, through its constructor."""
+    return type(record)(**{**vars(record), **changes})
 
 
 class TestMultiport:
@@ -331,7 +335,7 @@ class TestParadox:
 
     def test_unverified_verdict_exits_4_after_its_report(self, capsys, monkeypatch):
         real = cli.run_paradox
-        monkeypatch.setattr(cli, "run_paradox", lambda n, enumerate_models: dataclasses.replace(
+        monkeypatch.setattr(cli, "run_paradox", lambda n, enumerate_models: _rebuilt(
             real(n, enumerate_models=enumerate_models), contradiction=False))
         for fmt, shown in [("text", "contradiction: NOT PRESENT"),
                            ("records", '"verified": false')]:
@@ -342,6 +346,23 @@ class TestParadox:
             assert clock.startswith("ghzport: paradox wall clock: ")
             assert error == ("ghzport: error [paradox-mismatch] the N = 4 contradiction "
                              "did not verify as predicted")
+
+    def test_unconfirmed_contradiction_is_not_called_verified(self, capsys, monkeypatch):
+        real = cli.run_paradox
+        monkeypatch.setattr(cli, "run_paradox", lambda n, enumerate_models: _rebuilt(
+            real(n, enumerate_models=enumerate_models), full_model_count=1))
+        code, out, _ = run_cli(capsys, "paradox", "--N", "4")
+        assert code == 4
+        last = out.splitlines()[-1]
+        assert last.startswith("contradiction: quantum predicts γ_3^0 (E = 1)")
+        assert "VERIFIED" not in last
+        code, out, _ = run_cli(capsys, "paradox", "--N", "4", "--format", "records")
+        assert code == 4
+        with open(os.path.join(GOLDEN, "paradox-n4.records.txt"), encoding="utf-8") as handle:
+            expected = records_of(handle.read())
+        expected[-2]["all_models"] = 1
+        expected[-1]["verified"] = False
+        assert records_of(out) == expected
 
     def test_integrity_error_exits_4_with_empty_stdout(self, capsys, monkeypatch):
         def broken(n, enumerate_models):

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from ghzport.lhv import (
     model_value,
     satisfies,
 )
+from ghzport.quantum import ExperimentConfig, PhaseSettings, joint_amplitude, predict_last
 
 
 def paradox_catalog():
@@ -81,6 +83,30 @@ class TestModelValue:
             model_value(model, (0, 2))
         with pytest.raises(ValueError):
             model_value(model, (0,))
+
+
+@pytest.mark.parametrize("index, accepted", [
+    (1, True), (True, True), (np.int64(1), True), (np.uint8(1), True),
+    (np.bool_(True), False), (1.0, False), (np.float64(1), False), (Fraction(1), False),
+    ("1", False), (None, False),
+])
+def test_index_checks_accept_the_same_integer_kinds(index, accepted):
+    """Plain ints, bools and numpy integers are setting or detector indices;
+    numpy bools, floats, fractions and strings are not."""
+    zeros = (PhaseAngle(0.0),) * 2
+    catalog = SettingsCatalog(2, ((zeros, zeros),) * 2)
+    checks = [
+        lambda: catalog.validate_pattern((0, index)),
+        lambda: model_value(DeterministicModel(2, ((0, 1), (1, 1))), (0, index)),
+        lambda: joint_amplitude(ExperimentConfig(2, 2), PhaseSettings((zeros,) * 2), (0, index)),
+        lambda: predict_last(Residue(0, 2), (0, index)),
+    ]
+    for check in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(ValueError):
+                check()
 
 
 class TestSatisfies:

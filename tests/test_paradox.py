@@ -1,14 +1,15 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from ghzport.angles import PhaseAngle, Residue
 from ghzport.errors import ComputationIntegrityError
+from ghzport.lhv import SettingsCatalog
 from ghzport.paradox import (
     GRADED,
     REFERENCE,
     ParadoxExperiment,
+    ParadoxScenario,
     build_scenario,
     run_paradox,
     run_scenario,
@@ -59,14 +60,14 @@ class TestVerifyQuantum:
         graded = tuple(
             a + bump if m == 1 else a for m, a in enumerate(scenario.graded)
         )
-        broken_catalog = dataclasses.replace(
-            scenario.catalog,
-            station_settings=(
+        broken_catalog = SettingsCatalog(**{
+            **vars(scenario.catalog),
+            "station_settings": (
                 ((graded, scenario.reference),)
                 + scenario.catalog.station_settings[1:]
             ),
-        )
-        broken = dataclasses.replace(scenario, catalog=broken_catalog)
+        })
+        broken = ParadoxScenario(**{**vars(scenario), "catalog": broken_catalog})
         with pytest.raises(ComputationIntegrityError):
             verify_quantum(broken)
 
@@ -139,8 +140,8 @@ class TestRunParadox:
         # value equals the quantum one and no contradiction appears
         scenario = build_scenario(4)
         flat = ParadoxExperiment((REFERENCE,) * 4, Residue(0, 3), "all reference")
-        control = dataclasses.replace(
-            scenario, experiments=(flat, flat, flat, flat, flat)
+        control = ParadoxScenario(
+            **{**vars(scenario), "experiments": (flat, flat, flat, flat, flat)}
         )
         report = run_scenario(control)
         assert report.forced.pattern == (REFERENCE,) * 4
