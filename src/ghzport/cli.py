@@ -27,9 +27,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 import time
 from importlib import resources
+
+import numpy as np
 
 from . import __version__
 from .angles import PhaseAngle, Residue
@@ -43,6 +46,7 @@ from .lhv import count_satisfying, ghz_forced_value
 from .multiport import bell_multiport
 from .paradox import run_paradox
 from .quantum import (
+    _BLOCK,
     correlation_brute,
     correlation_closed,
     full_distribution,
@@ -99,20 +103,46 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
-def _digit_labels(ports: int) -> list:
-    """Detector indices leave the tool 1-based."""
-    return [str(k + 1) for k in range(ports)]
+def _half_labels(values, digits: int, ports: int, lead: str):
+    """Label text and digit sum of each half value: its ``digits`` 1-based
+    detector labels, each after ", " but the first after ``lead``."""
+    text, sums = np.full(len(values), "", dtype=object), np.zeros(len(values), dtype=np.intp)
+    for place in range(digits, 0, -1):  # least significant digit first
+        values, column = np.divmod(values, ports)
+        sep = lead if place == 1 else ", "
+        text = np.array([f"{sep}{k + 1}" for k in column.tolist()], dtype=object) + text
+        sums += column
+    return text, sums
 
 
-def _table_lines(distribution, head: str, tails: list):
-    """One string per (N-1)-digit prefix: the lines of its M outcomes in lex
-    order, each head + 1-based detector labels + the tail of its class."""
-    ports = distribution.config.ports
-    labels = _digit_labels(ports)
-    for prefix, shift in distribution.prefix_classes():
-        start = head + "".join([labels[k] + ", " for k in prefix])
-        rotated = tails[shift:] + tails[:shift]
-        yield "".join([start + label + tail for label, tail in zip(labels, rotated)])
+def _table_rows(cfg, head: str, tail, index=None, values=None):
+    """One string per block of _BLOCK rows: for each ascending lex index
+    (every outcome when ``index`` is None), head + 1-based detector labels +
+    tail(v), v being the row's entry of ``values`` or else its class.
+
+    An index splits into a high and a low half of its digits. Every low half
+    value (at most sqrt(M**N)) is labelled once; high half values and tails
+    only as they occur in a block. A row is three gathered strings.
+    """
+    ports, low_digits = cfg.ports, cfg.particles // 2
+    width = ports**low_digits
+    low_text, low_sums = _half_labels(np.arange(width), low_digits, ports, ", ")
+    total = cfg.outcome_count if index is None else len(index)
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        block = np.arange(start, stop) if index is None else index[start:stop]
+        keys, high = np.unique(block // width, return_inverse=True)
+        high_text, high_sums = _half_labels(keys, cfg.particles - low_digits, ports, head)
+        low = block % width
+        if values is None:
+            keys = (high_sums[high] + low_sums[low]) % ports
+        else:
+            keys = values[start:stop]
+        keys, pick = np.unique(keys, return_inverse=True)
+        parts = np.empty((stop - start, 3), dtype=object)
+        parts[:, 0], parts[:, 1] = high_text[high], low_text[low]
+        parts[:, 2] = np.array([tail(k) for k in keys.tolist()], dtype=object)[pick]
+        yield "".join(parts.ravel().tolist())
 
 
 # --- subcommands: each yields its records once the result is computed --------
@@ -132,10 +162,9 @@ def _cmd_probability(args):
     probs = distribution.class_probabilities().tolist()
 
     def rows(fmt):
-        if fmt == "records":
-            return _table_lines(distribution, '{"record": "probability", "detectors": [',
-                                [f'], "p": {p!r}}}\n' for p in probs])
-        return _table_lines(distribution, "  (", [f")  p = {p:.12g}\n" for p in probs])
+        head, tail = (('{"record": "probability", "detectors": [', '], "p": {!r}}}\n')
+                      if fmt == "records" else ("  (", ")  p = {:.12g}\n"))
+        return _table_rows(scenario.config, head, lambda s: tail.format(probs[s]))
 
     yield _run_record("probability", scenario=scenario_to_data(scenario))
     yield rows
@@ -169,16 +198,13 @@ def _cmd_sample(args):
     if shots is None:
         raise GhzportError("sample needs --shots or a sampling block in the scenario")
     result = sample_outcomes(scenario.config, scenario.phases, shots, seed)
-    labels = _digit_labels(scenario.config.ports)
 
     def rows(fmt):
-        counts = ((", ".join([labels[k] for k in outcome]), count)
-                  for outcome, count in result.counts.items())
-        if fmt == "records":
-            return (f'{{"record": "sample-count", "detectors": [{label}], "count": {count}, '
-                    f'"frequency": {count / result.shots!r}}}\n' for label, count in counts)
-        return (f"  ({label})  count = {count}  frequency = {count / result.shots:.6f}\n"
-                for label, count in counts)
+        head, tail = (('{"record": "sample-count", "detectors": [',
+                       '], "count": {}, "frequency": {!r}}}\n') if fmt == "records"
+                      else ("  (", ")  count = {}  frequency = {:.6f}\n"))
+        return _table_rows(scenario.config, head, lambda c: tail.format(c, c / shots),
+                           result.counts.indices, result.counts.frequencies)
 
     yield _run_record("sample", scenario=scenario_to_data(scenario))
     yield {"record": "sample-meta", "generator": result.generator, "seed": result.seed,
@@ -504,9 +530,17 @@ def run() -> None:
     Freezes the collector once the imports are done, so that every later
     full collection, the one at interpreter exit included, skips the
     import-time objects. ``main`` and library use leave the collector as is.
+    A reader closing stdout early (``| head``) ends the run with exit 1 and
+    no traceback: stdout then points at devnull (the ``signal`` docs' recipe).
     """
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import cmath
 import itertools
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -386,21 +386,12 @@ class OutcomeDistribution(Mapping):
             return self._probs.copy()
         return np.full(ports, ports ** (particles - 2) * self._probs.sum())
 
-    def prefix_classes(self) -> Iterator[Tuple[Tuple[int, ...], int]]:
-        """Yield (prefix, s) for every (N-1)-digit prefix, in lex order.
-
-        s is the prefix's digit sum mod M, so the outcome prefix + (k,) lies in
-        class (s + k) mod M: the M outcomes sharing a prefix cost one sum.
-        """
-        ports = self._cfg.ports
-        for prefix in itertools.product(range(ports), repeat=self._cfg.particles - 1):
-            yield prefix, sum(prefix) % ports
-
     def support(self, eps: float = 1e-12):
         """Yield (outcome, probability) for entries above eps, in lex order."""
         ports = self._cfg.ports
         probs = self._probs.tolist()
-        for prefix, shift in self.prefix_classes():
+        for prefix in itertools.product(range(ports), repeat=self._cfg.particles - 1):
+            shift = sum(prefix) % ports  # prefix + (k,) lies in class shift + k
             for last in range(ports):
                 p = probs[(shift + last) % ports]
                 if p > eps:
@@ -525,18 +516,67 @@ def predict_last(k_class: Residue, observed: Sequence[int]) -> Residue:
     return Residue(k_class.value - total, modulus)
 
 
+class OutcomeCounts(Mapping):
+    """Read-only view of sampled counts, 0-based outcome tuple -> count, over
+    what ``np.unique`` returns for the draws: the ascending lex ``indices`` of
+    the outcomes drawn and their ``frequencies``, both read-only. Iteration is
+    in lex order, a lookup a binary search; the repr is the equal dict's.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, indices: np.ndarray, frequencies: np.ndarray):
+        indices.setflags(write=False)
+        frequencies.setflags(write=False)
+        self._cfg, self.indices, self.frequencies = cfg, indices, frequencies
+        self._shape = (cfg.ports,) * cfg.particles
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        for start in range(0, len(self.indices), _BLOCK):
+            digits = np.unravel_index(self.indices[start : start + _BLOCK], self._shape)
+            yield from zip(*(d.tolist() for d in digits))
+
+    def __getitem__(self, outcome) -> int:
+        lex = np.ravel_multi_index(_check_outcome(self._cfg, outcome), self._shape)
+        at = np.searchsorted(self.indices, lex)
+        if at == len(self.indices) or self.indices[at] != lex:
+            raise KeyError(outcome)
+        return int(self.frequencies[at])
+
+    def items(self):
+        return _CountItems(self)
+
+    def values(self):
+        return _CountValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _CountItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.frequencies.tolist())
+
+
+class _CountValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.frequencies.tolist())
+
+
 class SampleResult(_Record):
     """Seeded empirical draw from the exact (implicit) outcome table.
 
-    ``counts`` maps each observed outcome tuple (lex order) to its frequency;
-    ``correlation`` is the empirical Bell-number average. Identical seeds give
-    identical results; the generator and its drawing scheme are named so runs
-    stay portable.
+    ``counts`` maps each observed outcome tuple to its count, in lex order:
+    from ``sample_outcomes`` an ``OutcomeCounts`` view over arrays, not a
+    dict of tuples. ``correlation`` is the empirical Bell-number average.
+    Identical seeds give identical results; the generator and its drawing
+    scheme are named so runs stay portable.
     """
 
     _fields = ("config", "shots", "seed", "counts", "correlation", "generator")
 
-    def __init__(self, config: ExperimentConfig, shots: int, seed: int, counts: dict,
+    def __init__(self, config: ExperimentConfig, shots: int, seed: int, counts: Mapping,
                  correlation: CorrelationValue, generator: str = GENERATOR_NAME):
         self.__dict__.update(config=config, shots=shots, seed=seed, counts=counts,
                              correlation=correlation, generator=generator)
@@ -578,10 +618,6 @@ def sample_outcomes(
         index, frequency = np.unique(drawn, return_counts=True)
     except (MemoryError, ValueError, OverflowError):
         raise ResourceLimitError(f"shots = {shots}: the draws do not fit in memory") from None
-    counts = {}
-    for start in range(0, len(index), _BLOCK):
-        digits = np.unravel_index(index[start : start + _BLOCK], (ports,) * cfg.particles)
-        counts.update(zip(zip(*(d.tolist() for d in digits)),
-                          frequency[start : start + _BLOCK].tolist()))
     estimate = complex((unit_roots(ports) * per_class).sum() / shots)
-    return SampleResult(cfg, shots, int(seed), counts, CorrelationValue(estimate))
+    return SampleResult(cfg, shots, int(seed), OutcomeCounts(cfg, index, frequency),
+                        CorrelationValue(estimate))

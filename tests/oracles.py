@@ -126,6 +126,32 @@ def full_table_amplitudes(phi, ports):
     return amps * ports ** (-(particles + 1) / 2)
 
 
+def class_first_counts(class_probabilities, particles, ports, shots, seed):
+    """The counts of a class-first draw, rebuilt one raw draw at a time.
+
+    The draws come from the generator calls that the library documents: one
+    multinomial split of the shots over the classes, then for each class s
+    that got any, one call for that many uniform (N-1)-digit prefixes (so up
+    to 2**16 shots, the library's block). Each prefix is spelled out digit by
+    digit and completed by the last digit (s - prefix sum) mod M. Returns a
+    dict from outcome tuple to count, in lex order.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    per_class = rng.multinomial(shots, class_probabilities / class_probabilities.sum())
+    counts = {}
+    for klass, drawn in enumerate(per_class.tolist()):
+        if drawn == 0:
+            continue
+        for head in rng.integers(0, ports ** (particles - 1), size=drawn).tolist():
+            prefix = []
+            for _ in range(particles - 1):
+                head, digit = divmod(head, ports)
+                prefix.insert(0, digit)
+            outcome = tuple(prefix) + ((klass - sum(prefix)) % ports,)
+            counts[outcome] = counts.get(outcome, 0) + 1
+    return dict(sorted(counts.items()))
+
+
 def enumerate_models(setting_counts, ports, constraints):
     """Count assignment tables satisfying every (pattern, required) pair.
 

@@ -60,12 +60,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args, text=True):
-    """Run ``python *args`` in a child process against this source tree."""
+def child_env():
+    """The environment of a child process that imports this source tree."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], capture_output=True, text=text, env=env)
+    return env
+
+
+def run_python(*args, text=True):
+    """Run ``python *args`` in a child process against this source tree."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          env=child_env())
 
 
 def run_module(*argv, text=True):
@@ -201,18 +207,24 @@ class TestSample:
         assert "error [invalid]" in err
 
 
-#: Tables rendered by TestRendering besides the bundled scenarios: N = 1,
-#: composite M and a sparse support (zero phases).
+#: Tables rendered by TestRendering besides the bundled scenarios (N = 1, 2, 4
+#: and 5): N = 1 with composite M, odd N, M >= 10 (two-character labels), a
+#: sparse support (zero phases), and 2^20 outcomes, too many for the
+#: probability oracle, on which a few shots make a sparse draw.
 RENDER_TABLES = {
     "single-hexport": (1, 6, [[0.3, 1.1, 2.0, 2.5, 4.0, 6.1]]),
     "three-hexports": (3, 6, [[f"{(m * m + l) % 12}/12" for m in range(6)] for l in range(3)]),
     "pair-dodecaports": (2, 12, [[0.1 * m * (l + 1) for m in range(12)] for l in range(2)]),
+    "three-decaports": (3, 10, [[0.2 * m + 0.7 * l for m in range(10)] for l in range(3)]),
     "four-quadports-zero": (4, 4, [["0/1"] * 4 for _ in range(4)]),
+    "twenty-pairs": (20, 2, [[0.0, 0.3 * l] for l in range(20)]),
 }
+BUNDLED_RENDERED = ["mach-zehnder-n1-m2", "bell-epr-n2-m3", "ghz-n4-m3", "ghz-n5-m4"]
+#: Shots per table in the sample test; 3000 unless named here.
+RENDER_SHOTS = {"twenty-pairs": 40}
 
 
-@pytest.fixture(params=sorted(RENDER_TABLES) + ["mach-zehnder-n1-m2", "bell-epr-n2-m3",
-                                                "ghz-n4-m3", "ghz-n5-m4"])
+@pytest.fixture()
 def render_path(request, tmp_path):
     if request.param not in RENDER_TABLES:
         return str(SCENARIOS / f"{request.param}.json")
@@ -235,6 +247,8 @@ class TestRendering:
     """probability and sample rows against lines built one outcome at a time
     with json.dumps and the per-row f-strings."""
 
+    @pytest.mark.parametrize("render_path", sorted(set(RENDER_TABLES) - {"twenty-pairs"})
+                             + BUNDLED_RENDERED, indirect=True)
     def test_probability_rows(self, capsys, render_path):
         scenario = parse_scenario(render_path)
         dist = full_distribution(scenario.config, scenario.phases)
@@ -253,24 +267,36 @@ class TestRendering:
                                        for outcome in dist]
         assert lines[-1] == f"total = {dist.total:.12g}"
 
+    @pytest.mark.parametrize("render_path", sorted(RENDER_TABLES) + BUNDLED_RENDERED,
+                             indirect=True)
     def test_sample_rows(self, capsys, render_path):
         scenario = parse_scenario(render_path)
-        result = sample_outcomes(scenario.config, scenario.phases, 3000, 17)
-        argv = ("sample", render_path, "--shots", "3000", "--seed", "17")
+        shots = RENDER_SHOTS.get(os.path.basename(render_path)[:-5], 3000)
+        result = sample_outcomes(scenario.config, scenario.phases, shots, 17)
+        argv = ("sample", render_path, "--shots", str(shots), "--seed", "17")
         code, out, _ = run_cli(capsys, *argv, "--format", "records")
         assert code == 0
         lines = out.splitlines()
         assert lines[2:-1] == [_record_line({
             "record": "sample-count", "detectors": [k + 1 for k in outcome],
-            "count": count, "frequency": count / 3000})
+            "count": count, "frequency": count / shots})
             for outcome, count in result.counts.items()]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         lines = out.splitlines()
         start = next(i for i, line in enumerate(lines) if line.startswith("sampling: "))
         assert lines[start + 1:-1] == [
-            f"  ({_label(outcome)})  count = {count}  frequency = {count / 3000:.6f}"
+            f"  ({_label(outcome)})  count = {count}  frequency = {count / shots:.6f}"
             for outcome, count in result.counts.items()]
+
+    @pytest.mark.parametrize("render_path", ["three-decaports", "ghz-n5-m4"], indirect=True)
+    def test_rows_do_not_depend_on_the_block_size(self, capsys, monkeypatch, render_path):
+        commands = [(kind, render_path, *extra, "--format", fmt)
+                    for kind, extra in (("probability", ()), ("sample", ("--shots", "3000")))
+                    for fmt in ("text", "records")]
+        whole = [run_cli(capsys, *argv) for argv in commands]
+        monkeypatch.setattr(cli, "_BLOCK", 7)
+        assert [run_cli(capsys, *argv) for argv in commands] == whole
 
 
 class TestLhvSearch:
@@ -419,6 +445,21 @@ class TestDispatch:
         assert proc.returncode == 0
         assert "VERIFIED" in proc.stdout
         assert "wall clock" in proc.stderr
+
+    def test_closed_stdout_exits_1_without_a_traceback(self, tmp_path):
+        # 4^8 rows, far more than a pipe buffers, so the child is still writing
+        path = tmp_path / "quadports.json"
+        path.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": 8,
+                                    "ports": 4, "phases": [[0.0] * 4] * 8}), encoding="utf-8")
+        with open(tmp_path / "stderr", "wb") as stderr:
+            argv = [sys.executable, "-m", "ghzport", "probability", str(path)]
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr,
+                                    env=child_env())
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        assert first == b"scenario: N = 8 particles, M = 4 ports per station\n"
+        assert (code, (tmp_path / "stderr").read_bytes()) == (1, b"")
 
     def test_only_the_console_entry_point_freezes_the_collector(self, capsys):
         frozen = gc.get_freeze_count()

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import pickle
 import time
 import tracemalloc
 from fractions import Fraction
@@ -655,6 +656,57 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             sample_outcomes(ExperimentConfig(1, 2), zero_settings(1, 2), 0, seed=0)
+
+
+class TestOutcomeCounts:
+    """SampleResult.counts, a mapping view over arrays, against the dict of
+    tuples rebuilt from the raw draws."""
+
+    @pytest.mark.parametrize("particles, ports, seed", [(1, 6, 3), (2, 12, 4), (3, 4, 5),
+                                                        (5, 3, 6), (20, 2, 7)])
+    def test_matches_the_raw_draws(self, particles, ports, seed):
+        cfg = ExperimentConfig(particles, ports)
+        settings = random_settings(np.random.default_rng(seed), particles, ports)
+        result = sample_outcomes(cfg, settings, 3000, seed)
+        expected = oracles.class_first_counts(
+            full_distribution(cfg, settings).class_probabilities(), particles, ports, 3000,
+            seed)
+        counts = result.counts
+        assert dict(counts) == expected and counts == expected
+        assert len(counts) == len(expected)
+        assert list(counts) == list(expected) == sorted(expected)
+        assert list(counts.items()) == list(expected.items())
+        assert list(counts.values()) == list(expected.values())
+        assert repr(counts) == repr(expected)
+        assert all(counts[outcome] == count for outcome, count in expected.items())
+
+    def test_lookups(self):
+        cfg = ExperimentConfig(3, 4)
+        counts = sample_outcomes(cfg, zero_settings(3, 4), 200, seed=2).counts
+        present = next(iter(counts))
+        absent = (0, 0, 1)  # digit sum 1: zero phases never draw it
+        assert counts[present] == counts[list(present)] == counts[np.array(present)] > 0
+        assert present in counts and absent not in counts
+        assert counts.get(absent, "none") == "none"
+        with pytest.raises(KeyError):
+            counts[absent]
+        for malformed in [(0, 0), (0, 0, 0, 0), (0, 0, 4), (0, -1, 1), (0, 0, 0.0)]:
+            with pytest.raises(ValueError):
+                counts[malformed]
+
+    def test_read_only_stable_and_picklable(self):
+        cfg = ExperimentConfig(4, 3)
+        settings = random_settings(np.random.default_rng(8), 4, 3)
+        first, second = (sample_outcomes(cfg, settings, 5000, seed=8).counts for _ in range(2))
+        assert repr(first).encode() == repr(second).encode()
+        assert first == second and pickle.loads(pickle.dumps(first)) == first
+        for array in (first.indices, first.frequencies):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(TypeError):
+            first[(0, 0, 0, 0)] = 1
+        with pytest.raises(TypeError):
+            hash(first)
 
 
 class TestClassFirstSampling:

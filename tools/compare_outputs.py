@@ -9,7 +9,11 @@ Builds one command set:
     formats;
   - the four bundled scenarios under correlate, probability, sample and
     lhv-search, in both formats;
-  - examples and multiport cases, errors included.
+  - examples and multiport cases, errors included;
+  - sample and probability shapes the workloads never reach, in both
+    formats: both commands on 2^20 outcomes (``sample --shots 200000``) and
+    on one station with 1000 ports, and ``sample --shots 1`` on 10^7
+    outcomes.
 Commands that occur twice run once.
 
 Then it starts one child per tree, with that tree's ``src`` first on
@@ -46,6 +50,15 @@ EXTRA = (
     ("multiport", "--ports", "1"),
     ("multiport", "--ports", "65"),
 )
+#: (name, particles, ports, commands): scenario files with float phases
+#: written by ``_table_scenario``, and what runs on each.
+TABLES = (
+    ("twenty-pairs", 20, 2, (("sample", "--shots", "200000", "--seed", "8"),
+                             ("probability",))),
+    ("one-station-m1000", 1, 1000, (("sample", "--shots", "20000", "--seed", "9"),
+                                    ("probability",))),
+    ("seven-decaports", 7, 10, (("sample", "--shots", "1", "--seed", "10"),)),
+)
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ s")
 
 
@@ -65,6 +78,14 @@ def _load_workloads(tree: Path):
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def _table_scenario(path: Path, particles: int, ports: int) -> str:
+    phases = [[round(0.37 * (m + 1) * (l + 2) % 6.28, 6) for m in range(ports)]
+              for l in range(particles)]
+    path.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": particles,
+                                "ports": ports, "phases": phases}), encoding="utf-8")
+    return str(path)
 
 
 def command_set(tree: Path, inputs: Path) -> list:
@@ -90,6 +111,10 @@ def command_set(tree: Path, inputs: Path) -> list:
         path = f"src/ghzport/scenarios/{name}.json"
         for kind in ("correlate", "probability", "sample", "lhv-search"):
             commands.extend(_both_formats((kind, path)))
+    for name, particles, ports, runs in TABLES:
+        path = _table_scenario(inputs / f"{name}.json", particles, ports)
+        for kind, *extra in runs:
+            commands.extend(_both_formats((kind, path, *extra)))
     commands.extend(list(argv) for argv in EXTRA)
     unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
     return list(unique.values())
