@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -45,6 +46,12 @@ def _wrap_radians(value: float) -> float:
     if wrapped >= TAU:  # fmod noise at the seam collapses to zero
         wrapped -= TAU
     return wrapped
+
+
+def _is_index(value, size: int) -> bool:
+    """True for an integer in 0..size-1: a plain int, a bool or a numpy
+    integer (any ``numbers.Integral``), not a float, fraction or string."""
+    return (type(value) is int or isinstance(value, numbers.Integral)) and 0 <= value < size
 
 
 def root_of_unity(k: int, modulus: int) -> complex:

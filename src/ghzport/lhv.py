@@ -11,10 +11,9 @@ constraints side by side.
 
 from __future__ import annotations
 
-import numbers
 from typing import Optional, Sequence, Tuple
 
-from .angles import PhaseAngle, Residue, _Record
+from .angles import PhaseAngle, Residue, _is_index, _Record
 from .errors import ResourceLimitError
 from .quantum import PhaseSettings
 
@@ -62,9 +61,7 @@ class SettingsCatalog(_Record):
                 f"pattern has {len(indices)} entries, expected {self.stations}"
             )
         for station, index in enumerate(indices):
-            if not (type(index) is int or isinstance(index, numbers.Integral)) or not (
-                0 <= index < len(self.station_settings[station])
-            ):
+            if not _is_index(index, len(self.station_settings[station])):
                 raise ValueError(
                     f"station {station + 1} setting index {index!r} out of range "
                     f"0..{len(self.station_settings[station]) - 1}"
@@ -133,9 +130,7 @@ def model_value(model: DeterministicModel, pattern: Sequence[int]) -> Residue:
     total = 0
     for station, setting in enumerate(indices):
         values = model.assignments[station]
-        if not (type(setting) is int or isinstance(setting, numbers.Integral)) or not (
-            0 <= setting < len(values)
-        ):
+        if not _is_index(setting, len(values)):
             raise ValueError(
                 f"station {station + 1} setting index {setting!r} out of range"
             )

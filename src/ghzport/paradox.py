@@ -16,11 +16,9 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .angles import PhaseAngle, Residue, _Record
-from .errors import ComputationIntegrityError
+from .errors import ComputationIntegrityError, ResourceLimitError
 from .lhv import (
-    MODEL_GUARD,
     Constraint,
-    CountResult,
     DeterministicModel,
     ForcedValue,
     SettingsCatalog,
@@ -175,8 +173,8 @@ def run_scenario(
     the guard) count the surviving deterministic models: an exact count over
     every model, by joining two half-tables.
 
-    ``enumerate_models``: True runs the exhaustive stage when the model count
-    is within MODEL_GUARD and skips it with a notice otherwise; False skips it.
+    ``enumerate_models``: True runs the exhaustive stage, or skips it with
+    ``count_satisfying``'s guard message as the notice; False skips it.
     """
     classes = verify_quantum(scenario)
     constraints = [
@@ -193,22 +191,20 @@ def run_scenario(
     swap_count = full_count = None
     witness = None
     note = None
-    model_count = scenario.catalog.model_count
     if not enumerate_models:
         note = "exhaustive stage skipped on request; verdict rests on the algebraic stage"
-    elif model_count > MODEL_GUARD:
-        note = (
-            f"exhaustive stage skipped: {model_count} deterministic models exceeds "
-            f"the search guard of {MODEL_GUARD}; verdict rests on the algebraic stage"
-        )
     else:
-        swap_result: CountResult = count_satisfying(scenario.catalog, constraints)
-        full_result = count_satisfying(
-            scenario.catalog,
-            constraints + [Constraint(target.pattern, target.expected)],
-        )
-        swap_count, witness = swap_result.count, swap_result.witness
-        full_count = full_result.count
+        try:
+            swap_result = count_satisfying(scenario.catalog, constraints)
+        except ResourceLimitError as exc:
+            note = f"exhaustive stage skipped: {exc}; verdict rests on the algebraic stage"
+        else:
+            full_result = count_satisfying(
+                scenario.catalog,
+                constraints + [Constraint(target.pattern, target.expected)],
+            )
+            swap_count, witness = swap_result.count, swap_result.witness
+            full_count = full_result.count
     return ContradictionReport(
         scenario=scenario,
         quantum_classes=classes,

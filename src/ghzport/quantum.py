@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -30,6 +29,7 @@ from .angles import (
     PhaseAngle,
     Residue,
     _checked,
+    _is_index,
     _Record,
 )
 from .errors import ComputationIntegrityError, ResourceLimitError
@@ -161,7 +161,7 @@ def _check_outcome(cfg: ExperimentConfig, outcome: Sequence[int]) -> Tuple[int, 
             f"outcome has {len(detectors)} entries, expected {cfg.particles}"
         )
     for k in detectors:
-        if not (type(k) is int or isinstance(k, numbers.Integral)) or not 0 <= k < cfg.ports:
+        if not _is_index(k, cfg.ports):
             raise ValueError(
                 f"detector indices must be integers in 0..{cfg.ports - 1}, got {k!r}"
             )
@@ -208,15 +208,16 @@ def _class_probabilities_cosine(phi: np.ndarray, ports: int) -> np.ndarray:
     P = M^-(N+1) * [M + 2 sum_{m>m'} cos(sum_l dphi_l + (2*pi/M)(m-m') s)]
     where dphi_l = phi[l, m] - phi[l, m'] and s = sum(k_l) mod M. The pairs
     with one port difference d = m - m' share the class term, so their
-    cosines add up to 2 Re(exp(i (2*pi/M) d s) sum_m' exp(i sum_l dphi_l)).
+    cosines add up to 2 Re(exp(i (2*pi/M) d s) c_d), where c_d = sum_m'
+    u[m' + d] conj(u[m']) is the linear autocorrelation of the unit vector
+    u[m] = prod_l exp(i phi[l, m]): one FFT pair zero-padded to 2M, so no
+    difference wraps around. The class sums over d are one inverse FFT.
     """
     particles = phi.shape[0]
-    classes = np.arange(ports)
-    totals = np.full(ports, float(ports))
-    for d in range(1, ports):
-        pairs = np.exp(1j * (phi[:, d:] - phi[:, :-d]).sum(axis=0)).sum()
-        shifts = np.exp(1j * (TAU / ports) * (d * classes % ports))
-        totals += 2.0 * (pairs * shifts).real
+    spectrum = np.fft.fft(np.exp(1j * phi).prod(axis=0), 2 * ports)
+    pairs = np.fft.ifft(spectrum.real**2 + spectrum.imag**2)[:ports]
+    pairs[0] = 0.0
+    totals = ports + (2.0 * ports) * np.fft.ifft(pairs).real
     return totals * (1.0 / ports) ** (particles + 1)
 
 
@@ -343,9 +344,9 @@ class OutcomeDistribution(Mapping):
         self._cfg = cfg
         self._probs = class_probabilities
         total = float(_lex_sum(self._probs, cfg))
-        if abs(total - 1.0) >= 1e-10:
+        if abs(total - 1.0) >= PROBABILITY_TOLERANCE:
             raise ComputationIntegrityError(
-                f"distribution total {total!r} deviates from 1 beyond 1e-10"
+                f"distribution total {total!r} deviates from 1 beyond {PROBABILITY_TOLERANCE}"
             )
         self._total = total
 
@@ -508,7 +509,7 @@ def predict_last(k_class: Residue, observed: Sequence[int]) -> Residue:
     modulus = k_class.modulus
     total = 0
     for k in observed:
-        if not (type(k) is int or isinstance(k, numbers.Integral)) or not 0 <= k < modulus:
+        if not _is_index(k, modulus):
             raise ValueError(
                 f"observed detector indices must be integers in 0..{modulus - 1}, got {k!r}"
             )

@@ -143,6 +143,28 @@ class TestJointProbability:
             want = oracles.naive_probability_cosine(phi.tolist(), ports, outcome)
             assert abs(got[s] - want) < 1e-12
 
+    @pytest.mark.parametrize("ports", [1000, 1009, 1024])  # composite, prime, power of two
+    def test_cosine_route_matches_oracle_at_large_ports(self, ports):
+        phi = np.random.default_rng(ports).uniform(0.0, 2 * math.pi, (1, ports))
+        got = _class_probabilities_cosine(phi, ports)
+        for s in (1, ports // 2 + 1):
+            want = oracles.naive_probability_cosine(phi.tolist(), ports, (s,))
+            assert abs(got[s] - want) < 1e-12
+
+    @pytest.mark.parametrize("particles", [1, 2])
+    def test_routes_agree_at_4096_ports(self, particles):
+        phi = np.random.default_rng(40 + particles).uniform(0.0, 2 * math.pi, (particles, 4096))
+        route_a = _class_probabilities_amplitude(phi, 4096)
+        route_b = _class_probabilities_cosine(phi, 4096)
+        assert np.max(np.abs(route_a - route_b)) < 1e-10
+
+    def test_cosine_route_is_fast_at_20000_ports(self):
+        # an O(M^2) loop over the port differences takes 12 to 27 s at this M
+        phi = np.random.default_rng(43).uniform(0.0, 2 * math.pi, (1, 20000))
+        started = time.perf_counter()
+        _class_probabilities_cosine(phi, 20000)
+        assert time.perf_counter() - started < 1.0
+
     @pytest.mark.parametrize("particles", [1, 3])
     @pytest.mark.parametrize("ports", [2, 3, 12, 255, 256, 257, 300, 513, 1000])
     def test_blocked_amplitudes_equal_full_table(self, ports, particles):

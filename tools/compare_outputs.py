@@ -10,10 +10,11 @@ Builds one command set:
   - the four bundled scenarios under correlate, probability, sample and
     lhv-search, in both formats;
   - examples and multiport cases, errors included;
-  - sample and probability shapes the workloads never reach, in both
-    formats: both commands on 2^20 outcomes (``sample --shots 200000``) and
-    on one station with 1000 ports, and ``sample --shots 1`` on 10^7
-    outcomes.
+  - table shapes the workloads never reach, in both formats: sample and
+    probability on 2^20 outcomes (``sample --shots 200000``), sample,
+    probability and correlate on one station with 1000 ports, probability
+    and correlate on one station with 1009 and with 4096 ports, and
+    ``sample --shots 1`` on 10^7 outcomes.
 Commands that occur twice run once.
 
 Then it starts one child per tree, with that tree's ``src`` first on
@@ -56,7 +57,9 @@ TABLES = (
     ("twenty-pairs", 20, 2, (("sample", "--shots", "200000", "--seed", "8"),
                              ("probability",))),
     ("one-station-m1000", 1, 1000, (("sample", "--shots", "20000", "--seed", "9"),
-                                    ("probability",))),
+                                    ("probability",), ("correlate",))),
+    ("one-station-m1009", 1, 1009, (("correlate",), ("probability",))),
+    ("one-station-m4096", 1, 4096, (("correlate",), ("probability",))),
     ("seven-decaports", 7, 10, (("sample", "--shots", "1", "--seed", "10"),)),
 )
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ s")
