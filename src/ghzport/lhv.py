@@ -4,13 +4,15 @@ A deterministic model assigns, to every (station, local setting) pair, one of
 the M Bell numbers; residues mod M carry the whole arithmetic since the
 product of assigned values is the sum of their exponents. The module can
 evaluate models against perfect-correlation constraints, count exactly, over
-every model, those satisfying a constraint set (by joining two half-tables),
-and derive the value algebraically forced on one pattern by multiplying
-constraints side by side.
+every model, those satisfying a constraint set (by elimination of A x = b
+over each prime power of M), and derive the value algebraically forced on
+one pattern by multiplying constraints side by side.
 """
 
 from __future__ import annotations
 
+import weakref
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .angles import PhaseAngle, Residue, _is_index, _Record
@@ -19,6 +21,24 @@ from .quantum import PhaseSettings
 
 #: Exhaustive-search guard on the total deterministic model count.
 MODEL_GUARD = 10**8
+
+#: Pattern tuples each live catalog has accepted, by id of catalog and tuple.
+_ACCEPTED: dict = {}
+
+
+def _checked(catalog, pattern: Sequence[int]) -> Tuple[int, ...]:
+    """``catalog.validate_pattern(pattern)``, once per tuple object: a tuple
+    accepted before (kept alive here, so its id is not reused) is returned."""
+    accepted = _ACCEPTED.get(id(catalog))
+    if accepted is None:
+        accepted = _ACCEPTED[id(catalog)] = {}
+        weakref.finalize(catalog, _ACCEPTED.pop, id(catalog), None)
+    if accepted.get(id(pattern)) is pattern:
+        return pattern
+    indices = catalog.validate_pattern(pattern)
+    if indices is pattern:
+        accepted[id(pattern)] = pattern
+    return indices
 
 
 class SettingsCatalog(_Record):
@@ -70,7 +90,7 @@ class SettingsCatalog(_Record):
 
     def phase_settings(self, pattern: Sequence[int]) -> PhaseSettings:
         """Assemble the experiment's phase table for one setting pattern."""
-        indices = self.validate_pattern(pattern)
+        indices = _checked(self, pattern)
         return PhaseSettings(
             tuple(self.station_settings[l][s] for l, s in enumerate(indices))
         )
@@ -143,27 +163,9 @@ def satisfies(model: DeterministicModel, constraints: Sequence[Constraint]) -> b
     return all(model_value(model, c.pattern) == c.required for c in constraints)
 
 
-def _decode_model(index: int, catalog: SettingsCatalog) -> DeterministicModel:
-    """Model at a given position in the lexicographic enumeration order."""
-    counts = catalog.setting_counts
-    ports = catalog.ports
-    digits = []
-    remaining = index
-    for _ in range(sum(counts)):
-        digits.append(remaining % ports)
-        remaining //= ports
-    digits.reverse()
-    assignments = []
-    cursor = 0
-    for count in counts:
-        assignments.append(tuple(digits[cursor : cursor + count]))
-        cursor += count
-    return DeterministicModel(ports, tuple(assignments))
-
-
 def _check_constraints(catalog, constraints):
     for constraint in constraints:
-        catalog.validate_pattern(constraint.pattern)
+        _checked(catalog, constraint.pattern)
         if constraint.required.modulus != catalog.ports:
             raise ValueError(
                 f"constraint residue modulus {constraint.required.modulus} "
@@ -171,30 +173,60 @@ def _check_constraints(catalog, constraints):
             )
 
 
-def _constraint_sums(cells, constraints, ports):
-    """Constraint sums mod M of every assignment to ``cells``, in lex order."""
-    sums = [(0,) * len(constraints)]
-    for station, setting in cells:
-        touched = [c.pattern[station] == setting for c in constraints]
-        sums = [
-            tuple((s + value) % ports if t else s for s, t in zip(row, touched))
-            for row in sums
-            for value in range(ports)
-        ]
-    return sums
+def _prime_powers(modulus):
+    """The prime powers p**e, one per prime, whose product is the modulus."""
+    powers, p = [], 2
+    while p * p <= modulus:
+        q = 1
+        while modulus % p == 0:
+            modulus, q = modulus // p, q * p
+        if q > 1:
+            powers.append(q)
+        p += 1
+    return powers + [modulus] if modulus > 1 else powers
 
 
-def count_satisfying(
-    catalog: SettingsCatalog,
-    constraints: Sequence[Constraint],
-) -> CountResult:
-    """Exact count over every deterministic model, by joining two half-tables.
+def _echelon(rows, cells, q):
+    """Reduce rows [b, a_1, ..., a_cells] of A x = b mod a prime power q, one
+    column at a time from the last cell back. The pivot is the entry of lowest
+    p-valuation, p**v = gcd(entry, q); its row, scaled to read p**v, clears
+    the column and leaves as the cell's echelon row, and its saturation
+    p**(e-v) * row, free of the cell, stays as the condition for a value to
+    exist. Each cell's row (None if free), or None when 0 = b != 0 is left.
+    """
+    rows = [[x % q for x in row] for row in rows]
+    echelon = [None] * cells
+    for cell in reversed(range(cells)):
+        chosen = min(rows, key=lambda row: gcd(row[-1], q), default=None)
+        step = q if chosen is None else gcd(chosen[-1], q)
+        if step < q:
+            scale = pow(chosen[-1] // step, -1, q)
+            pivot = echelon[cell] = [x * scale % q for x in chosen]
+            rows = [[(x - t * y) % q for x, y in zip(row, pivot)]
+                    if (t := row[-1] // step) else row for row in rows if row is not chosen]
+            if step > 1:
+                rows.append([x * (q // step) % q for x in pivot])
+        kept = []
+        for row in rows:
+            del row[-1]
+            if any(row[1:]):
+                kept.append(row)
+            elif row[0]:
+                return None
+        rows = kept
+    return echelon
 
-    The (station, setting) cells, in table order, split into a leading and a
-    trailing half; each half's assignments are listed in lexicographic order
-    as vectors of constraint sums mod M. A model satisfies every constraint
-    iff its trailing vector is ``required - leading`` mod M. The first leading
-    row with a match, joined to that match's first trailing row, is the
+
+def count_satisfying(catalog: SettingsCatalog,
+                     constraints: Sequence[Constraint]) -> CountResult:
+    """Exact count over every deterministic model, by elimination over Z_M.
+
+    A model is one residue per (station, setting) cell, each constraint one
+    row of A x = b (mod M), reduced by ``_echelon`` mod each prime power q of
+    M. A pivot p**v leaves p**v values for its cell, a free cell q; counts
+    multiply across the prime powers (CRT). With earlier cells fixed, a cell's
+    feasible values solve its echelon rows: one coset a + d Z_M across the
+    prime powers. Taking a mod d, cell by cell in table order, builds the
     lexicographically smallest witness, returned when the count is positive.
     """
     total = catalog.model_count
@@ -204,31 +236,35 @@ def count_satisfying(
         )
     _check_constraints(catalog, constraints)
 
-    ports = catalog.ports
-    cells = [
-        (station, setting)
-        for station, count in enumerate(catalog.setting_counts)
-        for setting in range(count)
-    ]
-    half = len(cells) // 2
-    trailing = _constraint_sums(cells[half:], constraints, ports)
-    matches: dict = {}
-    for index, vector in enumerate(trailing):
-        hits, first = matches.get(vector, (0, index))
-        matches[vector] = (hits + 1, first)
-
-    required = [c.required.value for c in constraints]
-    count = 0
-    witness_index = None
-    for index, vector in enumerate(_constraint_sums(cells[:half], constraints, ports)):
-        hits, first = matches.get(
-            tuple((r - v) % ports for r, v in zip(required, vector)), (0, None)
-        )
-        count += hits
-        if hits and witness_index is None:
-            witness_index = index * len(trailing) + first
-    witness = None if witness_index is None else _decode_model(witness_index, catalog)
-    return CountResult(count, witness)
+    counts = catalog.setting_counts
+    cells = sum(counts)
+    first = [sum(counts[:station]) for station in range(len(counts))]
+    rows = []
+    for constraint in constraints:
+        row = [constraint.required.value] + [0] * cells
+        for station, setting in enumerate(constraint.pattern):
+            row[1 + first[station] + setting] = 1
+        rows.append(row)
+    count, systems = 1, []
+    for q in _prime_powers(catalog.ports):
+        echelon = _echelon(rows, cells, q)
+        if echelon is None:
+            return CountResult(0, None)
+        for row in echelon:
+            count *= q if row is None else row[-1]
+        systems.append((q, echelon))
+    values = []
+    for cell in range(cells):
+        value, step = 0, 1
+        for q, echelon in systems:
+            if (row := echelon[cell]) is not None:
+                rest = (row[0] - sum(a * x for a, x in zip(row[1:], values))) % q
+                modulus = q // row[-1]  # value = a mod step so far; CRT adds this q
+                value += step * ((rest // row[-1] - value) * pow(step, -1, modulus) % modulus)
+                step *= modulus
+        values.append(value)
+    return CountResult(count, DeterministicModel(catalog.ports, tuple(
+        tuple(values[start:start + n]) for start, n in zip(first, counts))))
 
 
 def ghz_forced_value(

@@ -171,7 +171,7 @@ def run_scenario(
 ) -> ContradictionReport:
     """Verify the quantum classes, derive the LHV-forced value, and (within
     the guard) count the surviving deterministic models: an exact count over
-    every model, by joining two half-tables.
+    every model, by elimination of the constraints over Z_M.
 
     ``enumerate_models``: True runs the exhaustive stage, or skips it with
     ``count_satisfying``'s guard message as the notice; False skips it.

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ghzport.angles import PhaseAngle, Residue
+from ghzport import lhv
 from ghzport.errors import ResourceLimitError
 from ghzport.lhv import (
     MODEL_GUARD,
@@ -30,13 +34,14 @@ def paradox_catalog():
 
 
 @st.composite
-def lhv_problems(draw):
-    """(setting counts, M, [(pattern, required)]) over at most 2*10^4 models.
+def lhv_problems(draw, moduli=st.integers(2, 12)):
+    """(setting counts, M, [(pattern, required)]) over at most 2*10^4 models,
+    M drawn from ``moduli``.
 
     Patterns are sometimes reused, with the same residue (a repeat) or another
     one (a contradiction); cells no pattern names are left free.
     """
-    ports = draw(st.integers(2, 12))
+    ports = draw(moduli)
     budget = 1
     while ports ** (budget + 1) <= 2 * 10**4:
         budget += 1
@@ -54,6 +59,52 @@ def lhv_problems(draw):
             required = draw(st.integers(0, ports - 1))
         constraints.append((pattern, required))
     return tuple(counts), ports, constraints
+
+
+def blank_catalog(ports, counts):
+    """A catalog of all-zero settings: ``counts[l]`` of them at station l."""
+    zero = PhaseAngle.from_turns(0)
+    return SettingsCatalog(ports, tuple(((zero,) * ports,) * c for c in counts))
+
+
+def mermin(required):
+    """Three two-setting stations, the patterns with an even number of second
+    settings: the four rows add up to twice every cell."""
+    return list(zip([(0, 1, 1), (1, 0, 1), (1, 1, 0), (0, 0, 0)], required))
+
+
+#: (setting counts, M, [(pattern, required)]) for the oracle cases below.
+ORACLE_CASES = [
+    ((1, 1, 1), 16, [((0, 0, 0), 5)]),
+    ((1, 1, 1), 16, [((0, 0, 0), 5), ((0, 0, 0), 5)]),
+    ((1, 1, 1), 16, [((0, 0, 0), 5), ((0, 0, 0), 13)]),
+    ((2, 1), 16, [((0, 0), 3), ((1, 0), 11)]),
+    ((3,), 16, [((1,), 8), ((2,), 15)]),
+    ((1, 2), 18, [((0, 0), 4), ((0, 1), 13)]),
+    ((1, 2), 18, [((0, 0), 4), ((0, 0), 13)]),  # differ by 9: fails mod 2 only
+    ((1, 2), 18, [((0, 1), 4), ((0, 1), 10)]),  # differ by 6: fails mod 9 only
+    ((2, 1), 27, [((0, 0), 26), ((1, 0), 9), ((1, 0), 9)]),
+    ((1, 1, 1), 27, [((0, 0, 0), 1), ((0, 0, 0), 10)]),
+    ((3,), 27, [((0,), 26), ((1,), 9), ((2,), 0)]),
+    ((1, 1), 30, [((0, 0), 29)]),
+    ((1, 1), 30, [((0, 0), 29), ((0, 0), 14)]),  # fails mod 2 only
+    ((1, 1), 30, [((0, 0), 29), ((0, 0), 19)]),  # fails mod 3 only
+    ((1, 1), 30, [((0, 0), 29), ((0, 0), 23)]),  # fails mod 5 only
+    ((2,), 30, [((0,), 7), ((1,), 22)]),
+    ((2,), 32, [((1,), 31)]),
+    ((1, 1), 32, [((0, 0), 16), ((0, 0), 16), ((0, 0), 0)]),
+    # mod 4 the Mermin rows leave a pivot 2: its saturation row decides
+    ((2, 2, 2), 4, mermin([1, 1, 1, 1])),
+    ((2, 2, 2), 4, mermin([0, 0, 0, 1])),
+    ((2, 2, 2), 4, mermin([3, 0, 1, 2])),
+    ((2, 2, 2), 4, mermin([1, 0, 0, 1]) + [((0, 0, 0), 3)]),
+    # a pivot 2 whose saturation row keeps cells of lower valuation
+    ((3, 2, 2), 4, [((2, 1, 0), 2), ((2, 0, 1), 3), ((1, 0, 0), 1), ((0, 1, 1), 1)]),
+    ((3, 2, 2), 4, [((2, 1, 0), 1), ((2, 0, 1), 0), ((1, 0, 0), 0), ((0, 1, 1), 0)]),
+    # a column holding both 1 and 2 by the time it is reached: 2 cannot pivot
+    ((3, 2, 2), 4, [((2, 1, 0), 1), ((0, 1, 1), 3), ((0, 1, 0), 2), ((2, 0, 1), 1),
+                    ((2, 0, 0), 0), ((0, 0, 0), 1)]),
+]
 
 
 def swap_constraints(particles=4, ports=3, required=2):
@@ -199,6 +250,137 @@ class TestCountSatisfying:
             assert result.witness.assignments == first
         else:
             assert result.witness is None
+
+
+    @pytest.mark.parametrize("counts, ports, pairs", ORACLE_CASES)
+    def test_elimination_matches_oracle(self, counts, ports, pairs):
+        constraints = [Constraint(p, Residue(r, ports)) for p, r in pairs]
+        expected, first = oracles.enumerate_models(counts, ports, pairs)
+        result = count_satisfying(blank_catalog(ports, counts), constraints)
+        assert result.count == expected
+        assert (result.witness and result.witness.assignments) == first
+
+    @settings(max_examples=100, deadline=None)
+    @given(lhv_problems(st.sampled_from((16, 18, 27, 30, 32))))
+    def test_prime_power_moduli_match_oracle(self, problem):
+        counts, ports, pairs = problem
+        constraints = [Constraint(p, Residue(r, ports)) for p, r in pairs]
+        expected, first = oracles.enumerate_models(counts, ports, pairs)
+        result = count_satisfying(blank_catalog(ports, counts), constraints)
+        assert result.count == expected
+        assert (result.witness and result.witness.assignments) == first
+
+
+def timed_count(catalog, constraints):
+    started = time.perf_counter()
+    result = count_satisfying(catalog, constraints)
+    return result, time.perf_counter() - started
+
+
+#: Four two-setting stations at M = 10 (10^8 models): constraints, then the
+#: count and lex-first witness derived by hand, cells x[station][setting].
+DECAPORT_CASES = {
+    # each x[k][1] is 2 minus the other three x[l][0]: 10^4 models; lex-first
+    # x[0] = x[1] = (0, 0) forces x[2][0] + x[3][0] = 2
+    "swaps": (swap_constraints(4, 10, 2), 10**4, ((0, 0), (0, 0), (0, 0), (2, 2))),
+    # the four swaps sum to sum_k x[k][1] + 3 sum_l x[l][0] = 8, so the target
+    # gives sum_l x[l][0] = 7 * 8 = 6 (3 is a unit mod 10): 10^3 models
+    "swaps and target": (
+        swap_constraints(4, 10, 2) + [Constraint((1, 1, 1, 1), Residue(0, 10))],
+        10**3, ((0, 6), (0, 6), (0, 6), (6, 2))),
+    # Mermin rows with x[3][0] in each: 2 * (six cells) + 4 x[3][0] = 2. Rank 4
+    # mod 5, 3 mod 2, x[3][1] free: 5^4 * 2^5; x[0][0] - x[0][1] = 1 mod 5
+    "mermin, even total": (
+        [Constraint(p + (0,), Residue(r, 10)) for p, r in mermin([0, 0, 0, 2])],
+        20000, ((0, 4), (0, 4), (0, 4), (2, 0))),
+    # the same rows with an odd total: 0 = 1 mod 2
+    "mermin, odd total": (
+        [Constraint(p + (0,), Residue(r, 10)) for p, r in mermin([0, 0, 0, 1])], 0, None),
+}
+
+
+class TestGuardScale:
+    def test_three_cells_mod_464(self):
+        catalog = blank_catalog(464, (1, 1, 1))
+        assert catalog.model_count == 464**3 <= MODEL_GUARD
+        result, seconds = timed_count(catalog, [Constraint((0, 0, 0), Residue(5, 464))])
+        assert result.count == 464**2 == 215296
+        assert result.witness.assignments == ((0,), (0,), (5,))
+        assert seconds < 0.05
+
+    @pytest.mark.parametrize("name", DECAPORT_CASES)
+    def test_four_two_setting_stations_mod_10(self, name):
+        constraints, count, witness = DECAPORT_CASES[name]
+        catalog = blank_catalog(10, (2, 2, 2, 2))
+        assert catalog.model_count == MODEL_GUARD
+        result, seconds = timed_count(catalog, constraints)
+        assert result.count == count
+        assert (result.witness and result.witness.assignments) == witness
+        if witness is not None:
+            assert satisfies(result.witness, constraints)
+        assert seconds < 0.05
+
+    @pytest.mark.parametrize("name", DECAPORT_CASES)
+    def test_duplicate_rows_change_nothing(self, name):
+        constraints, count, witness = DECAPORT_CASES[name]
+        repeated = constraints * 50
+        random.Random(19).shuffle(repeated)
+        assert len(repeated) >= 200
+        result = count_satisfying(blank_catalog(10, (2, 2, 2, 2)), repeated)
+        assert result.count == count
+        assert (result.witness and result.witness.assignments) == witness
+
+
+class TestPatternChecks:
+    """Every public entry point rejects a bad pattern with the same message,
+    whatever patterns the catalog accepted before."""
+
+    @pytest.mark.parametrize("pattern, message", [
+        ((0, 1, 0), "pattern has 3 entries, expected 4"),
+        ((0, 2, 0, 0), "station 2 setting index 2 out of range 0..1"),
+        ((0, 1.0, 0, 0), "station 2 setting index 1.0 out of range 0..1"),
+        ([0, 1, 0, -1], "station 4 setting index -1 out of range 0..1"),
+    ])
+    def test_entry_points_reject(self, pattern, message):
+        catalog = paradox_catalog()
+        count_satisfying(catalog, swap_constraints())  # accepts the four swaps
+        calls = [
+            lambda: count_satisfying(catalog, [Constraint(pattern, Residue(0, 3))]),
+            lambda: ghz_forced_value(swap_constraints() + [Constraint(pattern, Residue(0, 3))],
+                                     catalog),
+            lambda: catalog.phase_settings(pattern),
+            lambda: catalog.validate_pattern(pattern),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+
+    def test_an_accepted_pattern_vouches_only_for_itself(self):
+        catalog = paradox_catalog()
+        accepted = (0, 1, 0, 0)
+        catalog.phase_settings(accepted)
+        assert catalog.phase_settings(accepted) == catalog.phase_settings((0, 1, 0, 0))
+        with pytest.raises(ValueError, match="index 1.0 out of range"):
+            catalog.phase_settings((0, 1.0, 0, 0))  # equal to ``accepted``, not it
+        listed = [0, 1, 0, 0]
+        catalog.phase_settings(listed)
+        assert list(lhv._ACCEPTED[id(catalog)].values()) == [accepted]  # lists are not kept
+        listed[1] = 2
+        with pytest.raises(ValueError, match="index 2 out of range"):
+            catalog.phase_settings(listed)
+        other = blank_catalog(3, (2, 2, 2))  # three stations, not four
+        with pytest.raises(ValueError, match="pattern has 4 entries, expected 3"):
+            other.phase_settings(accepted)
+
+    def test_a_catalog_leaves_no_record_behind(self):
+        catalog = paradox_catalog()
+        catalog.phase_settings((0, 1, 0, 0))
+        key = id(catalog)
+        assert key in lhv._ACCEPTED
+        del catalog
+        gc.collect()
+        assert key not in lhv._ACCEPTED
 
 
 class TestForcedValue:

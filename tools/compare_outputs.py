@@ -14,7 +14,13 @@ Builds one command set:
     probability on 2^20 outcomes (``sample --shots 200000``), sample,
     probability and correlate on one station with 1000 ports, probability
     and correlate on one station with 1009 and with 4096 ports, and
-    ``sample --shots 1`` on 10^7 outcomes.
+    ``sample --shots 1`` on 10^7 outcomes;
+  - lhv-search on catalogs it writes itself, in both formats: at M = 8, 9,
+    16 and 30, one consistent and one inconsistent constraint set each
+    (Mermin rows, GHZ swaps with the all-reference target, and a CHSH square
+    whose inconsistency shows mod 2 only), and two shapes at the model guard:
+    three one-setting stations at M = 464 and four two-setting stations at
+    M = 10.
 Commands that occur twice run once.
 
 Then it starts one child per tree, with that tree's ``src`` first on
@@ -62,6 +68,25 @@ TABLES = (
     ("one-station-m4096", 1, 4096, (("correlate",), ("probability",))),
     ("seven-decaports", 7, 10, (("sample", "--shots", "1", "--seed", "10"),)),
 )
+MERMIN = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 1, 1))
+SWAPS = tuple(tuple(2 if l == k else 1 for l in range(4)) for k in range(4))
+#: (name, ports, settings per station, [(1-based pattern, class)]): catalogs
+#: written by ``_catalog_scenario``, each run through lhv-search.
+CATALOGS = (
+    ("lhv-m8-consistent", 8, (2, 2, 2), list(zip(MERMIN, (1, 1, 1, 1)))),
+    ("lhv-m8-inconsistent", 8, (2, 2, 2), list(zip(MERMIN, (0, 0, 0, 1)))),
+    ("lhv-m9-consistent", 9, (2,) * 4, [(p, 0) for p in SWAPS] + [((2,) * 4, 3)]),
+    ("lhv-m9-inconsistent", 9, (2,) * 4, [(p, 0) for p in SWAPS] + [((2,) * 4, 1)]),
+    ("lhv-m16-consistent", 16, (2, 2, 2), [(p[:3], 1) for p in SWAPS[:3]] + [((2,) * 3, 1)]),
+    ("lhv-m16-inconsistent", 16, (2, 2, 2), [(p[:3], 1) for p in SWAPS[:3]] + [((2,) * 3, 0)]),
+    ("lhv-m30-consistent", 30, (2, 2, 1),
+     [((1, 1, 1), 1), ((1, 2, 1), 2), ((2, 1, 1), 3), ((2, 2, 1), 4)]),
+    ("lhv-m30-inconsistent", 30, (2, 2, 1),
+     [((1, 1, 1), 1), ((1, 2, 1), 2), ((2, 1, 1), 3), ((2, 2, 1), 19)]),
+    ("lhv-guard-m464", 464, (1, 1, 1), [((1, 1, 1), 5)]),
+    ("lhv-guard-m10", 10, (2,) * 4,
+     [(p + (1,), c) for p, c in zip(MERMIN, (0, 0, 0, 2))] + [(SWAPS[3], 2)]),
+)
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ s")
 
 
@@ -88,6 +113,17 @@ def _table_scenario(path: Path, particles: int, ports: int) -> str:
               for l in range(particles)]
     path.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": particles,
                                 "ports": ports, "phases": phases}), encoding="utf-8")
+    return str(path)
+
+
+def _catalog_scenario(path: Path, ports: int, counts, require) -> str:
+    settings = [[["0/1"] * ports] * count for count in counts]
+    path.write_text(json.dumps({
+        "schema": "ghzport-scenario/1", "particles": len(counts), "ports": ports,
+        "phases": [station[0] for station in settings],
+        "constraints": {"settings": settings, "require": [
+            {"pattern": list(pattern), "class": klass} for pattern, klass in require]},
+    }), encoding="utf-8")
     return str(path)
 
 
@@ -118,6 +154,9 @@ def command_set(tree: Path, inputs: Path) -> list:
         path = _table_scenario(inputs / f"{name}.json", particles, ports)
         for kind, *extra in runs:
             commands.extend(_both_formats((kind, path, *extra)))
+    for name, ports, counts, require in CATALOGS:
+        path = _catalog_scenario(inputs / f"{name}.json", ports, counts, require)
+        commands.extend(_both_formats(("lhv-search", path)))
     commands.extend(list(argv) for argv in EXTRA)
     unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
     return list(unique.values())
