@@ -2,9 +2,10 @@
 
 Covers the whole gedankenexperiment: joint detection probabilities computed
 by two independent routes (squared amplitude vs cosine expansion, permanently
-cross-asserted), the Bell-number correlation function both by outcome
-enumeration and in its closed O(N*M) form, perfect-correlation detection,
-prediction of the last outcome from the other N-1, and seeded sampling.
+cross-asserted), the Bell-number correlation function both by its
+definition over outcomes, summed class by class, and in its closed O(N*M)
+form, perfect-correlation detection, prediction of the last outcome from the
+other N-1, and seeded sampling.
 
 Detector indices are 0-based throughout this module; the command-line layer
 re-exposes 1-based port labels.
@@ -31,12 +32,13 @@ from .angles import (
     _checked,
     _is_index,
     _Record,
+    root_of_unity,
 )
 from .errors import ComputationIntegrityError, ResourceLimitError
 from .multiport import unit_roots
 
-#: Outcome-enumeration guard: operations walking all M**N outcomes refuse
-#: beyond this; the closed-form correlation has no guard.
+#: Outcome-table guard: the table operations (the distribution and what
+#: builds on it) refuse beyond this many outcomes; the closed form has none.
 ENUMERATION_GUARD = 10**7
 
 #: Name of the pseudo-random generator and of the way it is drawn from when
@@ -44,8 +46,8 @@ ENUMERATION_GUARD = 10**7
 GENERATOR_NAME = "pcg64/class-first"
 
 #: Longest run of outcomes or draws held as one array by the table-free
-#: paths: ``_lex_sum`` hands runs of this length to numpy's own sum, and
-#: sampling draws prefixes in blocks of it.
+#: paths: sampling draws prefixes in blocks of it, and sampled counts and
+#: written rows are read out in blocks of it.
 _BLOCK = 2**16
 
 #: Classes per block of route A's term table: an (M, _COLUMNS) block costs
@@ -247,9 +249,10 @@ def _class_tables(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     """(low, high): digit-sum classes of the last k and the first N-k digits.
 
     Outcome i = h * len(low) + j (lex index) lies in class (high[h] + low[j])
-    mod M. k >= 1 is the largest with M**k <= _BLOCK, so ``low`` is short
-    unless M alone exceeds it, and ``high`` has M**(N-k) < M**(N+1)/_BLOCK
-    entries: neither table grows as M times M**k.
+    mod M; sampling reads them to fix each draw's last digit. k >= 1 is the
+    largest with M**k <= _BLOCK, so ``low`` is short unless M alone exceeds
+    it, and ``high`` has M**(N-k) < M**(N+1)/_BLOCK entries: neither table
+    grows as M times M**k.
     """
     ports, particles = cfg.ports, cfg.particles
     k = 1
@@ -258,56 +261,6 @@ def _class_tables(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     low = _digit_sums(k, ports) % ports
     high = _digit_sums(particles - k, ports) % ports
     return low.astype(np.intp), high.astype(np.intp)
-
-
-def _lex_sum(values_per_class: np.ndarray, cfg: ExperimentConfig):
-    """``values_per_class[class(i)]`` summed over every outcome i in lex order.
-
-    Bit for bit what numpy's ``.sum()`` returns over that M**N-long array,
-    without building it. numpy adds a contiguous run of n scalars (two per
-    complex element) pairwise: above 128 it splits at n // 2 rounded down to a
-    multiple of 8. The same splits are taken here down to runs of at most
-    _BLOCK outcomes; each run is gathered from the class tables and summed
-    by numpy itself. Memory is the tables plus two run buffers, one of
-    indices and one of gathered values, allocated once per call and refilled
-    in place for every run, so no run allocates (and page-faults in) fresh
-    arrays.
-    """
-    low, high = _class_tables(cfg)
-    width = len(low)
-    doubled = np.concatenate([values_per_class, values_per_class])
-    scalars = 2 if np.iscomplexobj(values_per_class) else 1
-    size = min(_BLOCK, cfg.outcome_count)
-    idx = np.empty(size, dtype=np.intp)
-    run = np.empty(size, dtype=doubled.dtype)
-
-    def leaf(start: int, stop: int):
-        first, offset = divmod(start, width)
-        last, end = divmod(stop, width)
-        count = stop - start
-        if first == last:
-            np.add(low[offset:end], high[first], out=idx[:count])
-        else:
-            head = width - offset
-            np.add(low[offset:], high[first], out=idx[:head])
-            tail = count - end
-            np.add(high[first + 1 : last, None], low,
-                   out=idx[head:tail].reshape(last - first - 1, width))
-            if end:
-                np.add(low[:end], high[last], out=idx[tail:count])
-        # mode="clip" (every index is in range anyway): "raise" would gather
-        # into a temporary and copy it into ``out``
-        doubled.take(idx[:count], out=run[:count], mode="clip")
-        return run[:count].sum()
-
-    def node(start: int, count: int):
-        if count <= _BLOCK:
-            return leaf(start, start + count)
-        half = count * scalars // 2
-        half = (half - half % 8) // scalars
-        return node(start, half) + node(start + half, count - half)
-
-    return node(0, cfg.outcome_count)
 
 
 def joint_amplitude(cfg: ExperimentConfig, settings: PhaseSettings, outcome) -> complex:
@@ -336,14 +289,15 @@ class OutcomeDistribution(Mapping):
     Behaves as a read-only mapping from 0-based detector tuples (lexicographic
     by station) to probabilities. A probability depends on an outcome only
     through the residue of its detector sum, so only the M class
-    probabilities are held and no M**N-long array is ever built; marginals
-    follow from the class structure. Iteration still walks every tuple.
+    probabilities are held and no M**N-long array is ever built; the total
+    and marginals follow from the class structure. Iteration still walks
+    every tuple.
     """
 
     def __init__(self, cfg: ExperimentConfig, class_probabilities: np.ndarray):
         self._cfg = cfg
         self._probs = class_probabilities
-        total = float(_lex_sum(self._probs, cfg))
+        total = float(cfg.ports ** (cfg.particles - 1) * class_probabilities.sum())
         if abs(total - 1.0) >= PROBABILITY_TOLERANCE:
             raise ComputationIntegrityError(
                 f"distribution total {total!r} deviates from 1 beyond {PROBABILITY_TOLERANCE}"
@@ -356,7 +310,8 @@ class OutcomeDistribution(Mapping):
 
     @property
     def total(self) -> float:
-        """Sum of all entries; within 1e-10 of 1 by construction."""
+        """Sum of all entries, M**(N-1) * sum_s p_s: every class holds
+        M**(N-1) outcomes. Within 1e-10 of 1 by construction."""
         return self._total
 
     def __len__(self) -> int:
@@ -415,10 +370,13 @@ def correlation_brute(
     settings: PhaseSettings,
 ) -> CorrelationValue:
     """Correlation by definition: sum over all outcomes of the Bell-number
-    product times the outcome probability. Costs M**N; guard applies."""
+    product times the outcome probability. Both depend on an outcome only
+    through its class s, which holds M**(N-1) outcomes, so the sum is
+    M**(N-1) * sum_s gamma_M^s p_s. Costs O(M**2) for the class
+    probabilities; the enumeration guard still applies."""
     distribution = full_distribution(cfg, settings)
     values = unit_roots(cfg.ports) * distribution.class_probabilities()
-    return CorrelationValue(complex(_lex_sum(values, cfg)))
+    return CorrelationValue(complex(cfg.ports ** (cfg.particles - 1) * values.sum()))
 
 
 def _closed_form_exponents(settings: PhaseSettings):
@@ -494,7 +452,7 @@ def perfect_correlation_class(
     if denominator is not None:
         return _exact_class(phases, denominator, cfg.ports)
     candidate = round(float(np.angle(phases[0])) / (TAU / cfg.ports)) % cfg.ports
-    root = unit_roots(cfg.ports)[candidate]
+    root = root_of_unity(candidate, cfg.ports)
     if np.max(np.abs(phases - root)) <= UNIT_TOLERANCE:
         return Residue(candidate, cfg.ports)
     return None

@@ -27,7 +27,10 @@ Then it starts one child per tree, with that tree's ``src`` first on
 PYTHONPATH and the tree as working directory, which runs every command
 through ``ghzport.cli.main`` in process. It lists every command whose stdout,
 exit code or stderr differs, with wall-clock figures masked, and exits 1 if
-any does.
+any does. For a records-format command whose stdout differs, it runs that
+command once more in each tree as ``python -m ghzport``, streams the two
+outputs record by record, and names each record field that differs
+(``record.field``) with the largest absolute change of its numbers.
 
 The workload commands come from CHANGE_TREE's ``perfbench/workloads.py``;
 neither tree is written to (no bytecode either). Scenario files the
@@ -40,6 +43,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import re
@@ -182,7 +186,69 @@ def run_child(commands_path: str, results_path: str) -> None:
     Path(results_path).write_text(json.dumps(results), encoding="utf-8")
 
 
+def _child_env(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
+def _split(value):
+    """(value with every number replaced by 0, its numbers in order) for a
+    JSON value; bools are not numbers."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return 0, [value]
+    if isinstance(value, dict):
+        parts = {key: _split(item) for key, item in value.items()}
+        return ({key: shape for key, (shape, _) in parts.items()},
+                [n for _, numbers in parts.values() for n in numbers])
+    if isinstance(value, list):
+        parts = [_split(item) for item in value]
+        return [shape for shape, _ in parts], [n for _, numbers in parts for n in numbers]
+    return value, []
+
+
+def _changed_fields(old_lines, new_lines) -> dict:
+    """``record.field`` -> largest absolute change of its numbers (None when
+    more than numbers changed), over two streams of JSON lines read in step.
+    A missing or retyped record is reported under ``<records>``."""
+    changes = {}
+    for old_line, new_line in itertools.zip_longest(old_lines, new_lines):
+        if old_line == new_line:
+            continue
+        old = json.loads(old_line) if old_line is not None else {}
+        new = json.loads(new_line) if new_line is not None else {}
+        if old.get("record") != new.get("record"):
+            changes["<records>"] = None
+            continue
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) == new.get(key):
+                continue
+            name = f"{old['record']}.{key}"
+            (shape, before), (new_shape, after) = _split(old.get(key)), _split(new.get(key))
+            if shape != new_shape or changes.get(name, 0) is None:
+                changes[name] = None
+            else:
+                changes[name] = max(changes.get(name, 0),
+                                    *(abs(a - b) for a, b in zip(before, after)))
+    return changes
+
+
+def _field_report(argv, trees: dict, scratch: Path) -> dict:
+    """Run one records command in both trees and compare its records."""
+    outputs = {}
+    for label, tree in trees.items():
+        outputs[label] = scratch / f"{label}-stdout.jsonl"
+        with open(outputs[label], "wb") as sink:
+            subprocess.run([sys.executable, "-B", "-m", "ghzport", *argv], cwd=tree,
+                           env=_child_env(tree), stdout=sink, stderr=subprocess.DEVNULL)
+    with open(outputs["parent"], encoding="utf-8") as old, \
+            open(outputs["change"], encoding="utf-8") as new:
+        return _changed_fields(old, new)
+
+
 def compare(parent: Path, change: Path) -> int:
+    trees = {"parent": parent, "change": change}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
         scratch = Path(scratch)
         inputs = scratch / "inputs"
@@ -191,14 +257,11 @@ def compare(parent: Path, change: Path) -> int:
         commands_path = scratch / "commands.json"
         commands_path.write_text(json.dumps(commands), encoding="utf-8")
         children = {}
-        for label, tree in (("parent", parent), ("change", change)):
-            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
+        for label, tree in trees.items():
             results_path = scratch / f"{label}.json"
             process = subprocess.Popen(
                 [sys.executable, "-B", str(Path(__file__).resolve()), "--child",
-                 str(commands_path), str(results_path)], cwd=tree, env=env)
+                 str(commands_path), str(results_path)], cwd=tree, env=_child_env(tree))
             children[label] = (process, results_path)
         results = {}
         for label, (process, results_path) in children.items():
@@ -207,19 +270,23 @@ def compare(parent: Path, change: Path) -> int:
                       file=sys.stderr)
                 return 2
             results[label] = json.loads(results_path.read_text(encoding="utf-8"))
-    differing = 0
-    for argv, old, new in zip(commands, results["parent"], results["change"]):
-        fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
-        if not fields:
-            continue
-        differing += 1
-        print(f"DIFFERS ({', '.join(fields)}): ghzport {' '.join(argv)}")
-        if "code" in fields:
-            print(f"  exit code {old['code']} -> {new['code']}")
-        if "stdout" in fields:
-            print(f"  stdout {old['stdout_bytes']} -> {new['stdout_bytes']} bytes")
-        if "stderr" in fields:
-            print(f"  stderr {old['stderr']!r}\n      -> {new['stderr']!r}")
+        differing = 0
+        for argv, old, new in zip(commands, results["parent"], results["change"]):
+            fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
+            if not fields:
+                continue
+            differing += 1
+            print(f"DIFFERS ({', '.join(fields)}): ghzport {' '.join(argv)}")
+            if "code" in fields:
+                print(f"  exit code {old['code']} -> {new['code']}")
+            if "stdout" in fields:
+                print(f"  stdout {old['stdout_bytes']} -> {new['stdout_bytes']} bytes")
+                if argv[-2:] == ["--format", "records"]:
+                    for name, delta in sorted(_field_report(argv, trees, scratch).items()):
+                        size = "non-numeric" if delta is None else f"largest change {delta:.3g}"
+                        print(f"  field {name}: {size}")
+            if "stderr" in fields:
+                print(f"  stderr {old['stderr']!r}\n      -> {new['stderr']!r}")
     print(f"{len(commands)} commands compared, {differing} differ")
     return 1 if differing else 0
 
