@@ -43,8 +43,8 @@ def _wrap_radians(value: float) -> float:
     wrapped = math.fmod(value, TAU)
     if wrapped < 0.0:
         wrapped += TAU
-    if wrapped >= TAU:  # fmod noise at the seam collapses to zero
-        wrapped -= TAU
+    if wrapped >= TAU or wrapped == 0.0:  # seam noise and -0.0 become +0.0
+        wrapped = 0.0
     return wrapped
 
 

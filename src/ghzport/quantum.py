@@ -50,10 +50,6 @@ GENERATOR_NAME = "pcg64/class-first"
 #: written rows are read out in blocks of it.
 _BLOCK = 2**16
 
-#: Classes per block of route A's term table: an (M, _COLUMNS) block costs
-#: 24 bytes per entry. At least 4, so no block is a single column.
-_COLUMNS = 64
-
 
 class ExperimentConfig(_Record):
     """Geometry of the experiment: N stations, each a multiport with M ports."""
@@ -176,25 +172,10 @@ def _class_amplitudes(phi: np.ndarray, ports: int) -> np.ndarray:
     The product of per-station root-of-unity factors depends on the outcome
     only through s = sum(k_l) mod M, so one amplitude per class covers all
     M**N outcomes:  amp(s) = M^(-(N+1)/2) * sum_m exp(i sum_l phi[l, m]) *
-    gamma_M^(m*s), with the exponent m*s reduced exactly as an integer.
-
-    The M x M table of terms is built _COLUMNS classes at a time, so memory
-    stays linear in M. numpy sums each (M, width) block over m row by row,
-    as it does the whole table, so the amplitudes keep their bits; a
-    one-column block would be summed pairwise instead, so the classes are
-    split into near-equal blocks, never narrower than two.
+    gamma_M^(m*s), the unnormalized inverse DFT of the per-port weights.
     """
     particles = phi.shape[0]
-    weights = np.exp(1j * phi.sum(axis=0))[:, None]
-    roots = unit_roots(ports)
-    ms = np.arange(ports)
-    amps = np.empty(ports, dtype=complex)
-    for classes in np.array_split(ms, -(-ports // _COLUMNS)):
-        powers = np.outer(ms, classes)
-        powers %= ports
-        terms = roots[powers]
-        np.multiply(weights, terms, out=terms)
-        amps[classes] = terms.sum(axis=0)
+    amps = np.fft.ifft(np.exp(1j * phi.sum(axis=0)), norm="forward")
     return amps * ports ** (-(particles + 1) / 2)
 
 
@@ -372,7 +353,7 @@ def correlation_brute(
     """Correlation by definition: sum over all outcomes of the Bell-number
     product times the outcome probability. Both depend on an outcome only
     through its class s, which holds M**(N-1) outcomes, so the sum is
-    M**(N-1) * sum_s gamma_M^s p_s. Costs O(M**2) for the class
+    M**(N-1) * sum_s gamma_M^s p_s. Costs O(M log M) for the class
     probabilities; the enumeration guard still applies."""
     distribution = full_distribution(cfg, settings)
     values = unit_roots(cfg.ports) * distribution.class_probabilities()

@@ -114,9 +114,9 @@ def full_table_amplitudes(phi, ports):
     """Route A's class amplitudes from the whole M x M table of terms.
 
     amp(s) = M^(-(N+1)/2) * sum_m exp(i sum_l phi[l, m]) * gamma_M^(m*s),
-    summed by numpy's ``.sum(axis=0)`` over the full table at once: the order
-    in which numpy adds is the reference for the blocked sum, so this one
-    routine uses numpy on purpose. The roots are exp(2*pi*i*j/M) from cmath.
+    summed term by term over the full table with numpy's ``.sum(axis=0)``,
+    not by a fast transform, so that it shares no method with the library's
+    inverse FFT. The roots are exp(2*pi*i*j/M) from cmath.
     """
     particles = phi.shape[0]
     roots = np.array([cmath.exp(2j * math.pi * j / ports) for j in range(ports)])

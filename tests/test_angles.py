@@ -79,6 +79,7 @@ class TestPhaseAngle:
     def test_radians_wrap_into_one_turn(self):
         assert PhaseAngle.from_radians(-0.5).radians == pytest.approx(TAU - 0.5)
         assert PhaseAngle.from_radians(TAU).radians == 0.0
+        assert math.copysign(1.0, PhaseAngle.from_radians(-0.0).radians) == 1.0
 
     def test_as_residue_exact(self):
         assert PhaseAngle.from_turns(Fraction(2, 3)).as_residue(3) == Residue(2, 3)

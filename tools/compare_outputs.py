@@ -12,9 +12,10 @@ Builds one command set:
   - examples and multiport cases, errors included;
   - table shapes the workloads never reach, in both formats: sample and
     probability on 2^20 outcomes (``sample --shots 200000``), sample,
-    probability and correlate on one station with 1000 ports, probability
-    and correlate on one station with 1009 and with 4096 ports, and
-    ``sample --shots 1`` on 10^7 outcomes;
+    probability and correlate on one station with 1000 and with 20000 ports
+    (``sample --shots 20000``), probability and correlate on one station
+    with 1009 and with 4096 ports, and ``sample --shots 1`` on 10^7
+    outcomes;
   - lhv-search on catalogs it writes itself, in both formats: at M = 8, 9,
     16 and 30, one consistent and one inconsistent constraint set each
     (Mermin rows, GHZ swaps with the all-reference target, and a CHSH square
@@ -70,6 +71,8 @@ TABLES = (
                                     ("probability",), ("correlate",))),
     ("one-station-m1009", 1, 1009, (("correlate",), ("probability",))),
     ("one-station-m4096", 1, 4096, (("correlate",), ("probability",))),
+    ("one-station-m20000", 1, 20000, (("correlate",), ("probability",),
+                                      ("sample", "--shots", "20000", "--seed", "11"))),
     ("seven-decaports", 7, 10, (("sample", "--shots", "1", "--seed", "10"),)),
 )
 MERMIN = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 1, 1))
