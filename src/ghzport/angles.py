@@ -156,7 +156,7 @@ class PhaseAngle(_Record):
             raise ValueError(f"radians must lie in [0, 2*pi), got {radians!r}")
         if turns is not None:
             _checked(turns)
-            if not (0 <= turns < 1):
+            if not 0 <= turns.numerator < turns.denominator:
                 raise ValueError(f"turns must lie in [0, 1), got {turns}")
             if abs(radians - TAU * float(turns)) >= 1e-12:
                 raise ValueError(f"radians {radians} inconsistent with {turns} of a turn")
@@ -180,7 +180,7 @@ class PhaseAngle(_Record):
     def parse(cls, value: Union[str, float, int]) -> "PhaseAngle":
         """Accept a number of radians or a string "p/q" meaning 2*pi*p/q."""
         if isinstance(value, str) and "/" in value:
-            return cls.from_turns(Fraction(value.strip()))
+            return cls.from_turns(value.strip())
         return cls.from_radians(float(value))
 
     @property

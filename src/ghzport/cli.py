@@ -103,14 +103,14 @@ def _load_scenario(args) -> Scenario:
     return scenario
 
 
-def _half_labels(values, digits: int, ports: int, lead: str):
-    """Label text and digit sum of each half value: its ``digits`` 1-based
-    detector labels, each after ", " but the first after ``lead``."""
+def _half_labels(values, digits: int, labels, lead: str):
+    """Label text and digit sum of each half value: its ``digits`` detector
+    labels, digit k read as labels[k], each after ", " but the first after
+    ``lead``."""
     text, sums = np.full(len(values), "", dtype=object), np.zeros(len(values), dtype=np.intp)
     for place in range(digits, 0, -1):  # least significant digit first
-        values, column = np.divmod(values, ports)
-        sep = lead if place == 1 else ", "
-        text = np.array([f"{sep}{k + 1}" for k in column.tolist()], dtype=object) + text
+        values, column = np.divmod(values, len(labels))
+        text = (lead if place == 1 else ", ") + labels[column] + text
         sums += column
     return text, sums
 
@@ -120,19 +120,21 @@ def _table_rows(cfg, head: str, tail, index=None, values=None):
     (every outcome when ``index`` is None), head + 1-based detector labels +
     tail(v), v being the row's entry of ``values`` or else its class.
 
-    An index splits into a high and a low half of its digits. Every low half
-    value (at most sqrt(M**N)) is labelled once; high half values and tails
-    only as they occur in a block. A row is three gathered strings.
+    An index splits into a high and a low half of its digits. The M label
+    strings are formatted once, and every low half value (at most sqrt(M**N))
+    is labelled once; high half values and tails only as they occur in a
+    block. A row is three gathered strings.
     """
     ports, low_digits = cfg.ports, cfg.particles // 2
     width = ports**low_digits
-    low_text, low_sums = _half_labels(np.arange(width), low_digits, ports, ", ")
+    labels = np.array([str(k + 1) for k in range(ports)], dtype=object)
+    low_text, low_sums = _half_labels(np.arange(width), low_digits, labels, ", ")
     total = cfg.outcome_count if index is None else len(index)
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
         block = np.arange(start, stop) if index is None else index[start:stop]
         keys, high = np.unique(block // width, return_inverse=True)
-        high_text, high_sums = _half_labels(keys, cfg.particles - low_digits, ports, head)
+        high_text, high_sums = _half_labels(keys, cfg.particles - low_digits, labels, head)
         low = block % width
         if values is None:
             keys = (high_sums[high] + low_sums[low]) % ports

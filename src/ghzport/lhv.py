@@ -6,12 +6,13 @@ product of assigned values is the sum of their exponents. The module can
 evaluate models against perfect-correlation constraints, count exactly, over
 every model, those satisfying a constraint set (by elimination of A x = b
 over each prime power of M), and derive the value algebraically forced on
-one pattern by multiplying constraints side by side.
+one pattern by multiplying constraints side by side. Each entry point
+validates the patterns it is given on every call; nothing is kept between
+calls.
 """
 
 from __future__ import annotations
 
-import weakref
 from math import gcd
 from typing import Optional, Sequence, Tuple
 
@@ -21,24 +22,6 @@ from .quantum import PhaseSettings
 
 #: Exhaustive-search guard on the total deterministic model count.
 MODEL_GUARD = 10**8
-
-#: Pattern tuples each live catalog has accepted, by id of catalog and tuple.
-_ACCEPTED: dict = {}
-
-
-def _checked(catalog, pattern: Sequence[int]) -> Tuple[int, ...]:
-    """``catalog.validate_pattern(pattern)``, once per tuple object: a tuple
-    accepted before (kept alive here, so its id is not reused) is returned."""
-    accepted = _ACCEPTED.get(id(catalog))
-    if accepted is None:
-        accepted = _ACCEPTED[id(catalog)] = {}
-        weakref.finalize(catalog, _ACCEPTED.pop, id(catalog), None)
-    if accepted.get(id(pattern)) is pattern:
-        return pattern
-    indices = catalog.validate_pattern(pattern)
-    if indices is pattern:
-        accepted[id(pattern)] = pattern
-    return indices
 
 
 class SettingsCatalog(_Record):
@@ -89,8 +72,9 @@ class SettingsCatalog(_Record):
         return indices
 
     def phase_settings(self, pattern: Sequence[int]) -> PhaseSettings:
-        """Assemble the experiment's phase table for one setting pattern."""
-        indices = _checked(self, pattern)
+        """Assemble the experiment's phase table for one setting pattern,
+        validated first; stations on the same setting share its row object."""
+        indices = self.validate_pattern(pattern)
         return PhaseSettings(
             tuple(self.station_settings[l][s] for l, s in enumerate(indices))
         )
@@ -165,7 +149,7 @@ def satisfies(model: DeterministicModel, constraints: Sequence[Constraint]) -> b
 
 def _check_constraints(catalog, constraints):
     for constraint in constraints:
-        _checked(catalog, constraint.pattern)
+        catalog.validate_pattern(constraint.pattern)
         if constraint.required.modulus != catalog.ports:
             raise ValueError(
                 f"constraint residue modulus {constraint.required.modulus} "

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .angles import _Record, root_of_unity
+from .angles import _Record
 
 #: Largest supported port count; paradox scenarios need M = N-1 only.
 MAX_PORTS = 64
@@ -31,8 +31,9 @@ class MultiportMatrix(_Record):
 
 
 def unit_roots(modulus: int) -> np.ndarray:
-    """All M complex M-th roots of unity, index j holding exp(2*pi*i*j/M)."""
-    return np.array([root_of_unity(j, modulus) for j in range(modulus)])
+    """All M complex M-th roots of unity, index j holding exp(2*pi*i*j/M),
+    bit for bit ``root_of_unity(j, M)``: the same operations in the same order."""
+    return np.exp(1j * (2 * math.pi * np.arange(modulus) / modulus))
 
 
 def bell_multiport(ports: int) -> MultiportMatrix:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
@@ -76,11 +77,13 @@ def _ensure_enumerable(cfg: ExperimentConfig) -> None:
         )
 
 
-def _distinct(rows) -> dict:
-    """The distinct row objects of a settings table, keyed by identity, in
-    first-appearance order: stations that share one row object (as a
-    catalog's experiments do) are read once."""
-    return {id(row): row for row in rows}
+def _distinct(rows) -> list:
+    """Each distinct row object of a settings table, by identity and in
+    first-appearance order, paired with the number of stations that hold it,
+    so that a row shared by stations (as in a catalog's experiments) is read
+    once."""
+    held = Counter(map(id, rows))
+    return [(row, held.pop(id(row))) for row in rows if id(row) in held]
 
 
 class PhaseSettings(_Record):
@@ -97,7 +100,7 @@ class PhaseSettings(_Record):
                 raise ValueError(
                     f"station {index + 1} has {len(row)} phases, expected {width}"
                 )
-        for row in _distinct(rows).values():
+        for row, _ in _distinct(rows):
             for angle in row:
                 if not isinstance(angle, PhaseAngle):
                     raise ValueError(f"phase entries must be PhaseAngle, got {angle!r}")
@@ -122,7 +125,7 @@ class PhaseSettings(_Record):
 
     @property
     def all_exact(self) -> bool:
-        return all(angle.is_exact for row in _distinct(self.rows).values() for angle in row)
+        return all(angle.is_exact for row, _ in _distinct(self.rows) for angle in row)
 
     def float_matrix(self) -> np.ndarray:
         return np.array([[angle.radians for angle in row] for row in self.rows])
@@ -367,9 +370,10 @@ def _closed_form_exponents(settings: PhaseSettings):
     telescope to zero modulo one turn. When every phase is exact, returns
     ``(numerators, D)``: exponent m is numerators[m]/D of a turn in [0, 1),
     over the lcm D of the phase denominators, taken from the column sums S_m
-    as (S_m - S_(m+1)) mod D. D and each row's scaled numerators are read from
-    each distinct row object once; S_m then adds those integer vectors over
-    all N stations, which is exact whichever rows repeat. Otherwise returns
+    as (S_m - S_(m+1)) mod D. Each distinct row object is read once: its
+    numerators are scaled to D and multiplied by the number of stations that
+    hold it, and S_m adds one such integer vector per distinct row, which is
+    exactly the sum over all N stations. Otherwise returns
     ``(phases, None)``, the M unit phases exp(i * exponent) on the floating
     track.
     """
@@ -378,10 +382,10 @@ def _closed_form_exponents(settings: PhaseSettings):
         deltas = phi - np.roll(phi, -1, axis=1)
         return np.exp(1j * deltas.sum(axis=0)), None
     distinct = _distinct(settings.rows)
-    denominator = math.lcm(*(a.turns.denominator for row in distinct.values() for a in row))
-    scaled = {key: [a.turns.numerator * (denominator // a.turns.denominator) for a in row]
-              for key, row in distinct.items()}
-    sums = [sum(column) for column in zip(*(scaled[id(row)] for row in settings.rows))]
+    denominator = math.lcm(*(a.turns.denominator for row, _ in distinct for a in row))
+    scaled = [[held * a.turns.numerator * (denominator // a.turns.denominator) for a in row]
+              for row, held in distinct]
+    sums = [sum(column) for column in zip(*scaled)]
     numerators = [(s - t) % denominator for s, t in zip(sums, sums[1:] + sums[:1])]
     if denominator > _INT64_MAX:  # only then can a reduced exponent leave the range
         for e in numerators:

@@ -1,4 +1,3 @@
-import gc
 import itertools
 import random
 import time
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 import oracles
 from ghzport.angles import PhaseAngle, Residue
-from ghzport import lhv
 from ghzport.errors import ResourceLimitError
 from ghzport.lhv import (
     MODEL_GUARD,
@@ -365,22 +363,12 @@ class TestPatternChecks:
             catalog.phase_settings((0, 1.0, 0, 0))  # equal to ``accepted``, not it
         listed = [0, 1, 0, 0]
         catalog.phase_settings(listed)
-        assert list(lhv._ACCEPTED[id(catalog)].values()) == [accepted]  # lists are not kept
         listed[1] = 2
         with pytest.raises(ValueError, match="index 2 out of range"):
             catalog.phase_settings(listed)
         other = blank_catalog(3, (2, 2, 2))  # three stations, not four
         with pytest.raises(ValueError, match="pattern has 4 entries, expected 3"):
             other.phase_settings(accepted)
-
-    def test_a_catalog_leaves_no_record_behind(self):
-        catalog = paradox_catalog()
-        catalog.phase_settings((0, 1, 0, 0))
-        key = id(catalog)
-        assert key in lhv._ACCEPTED
-        del catalog
-        gc.collect()
-        assert key not in lhv._ACCEPTED
 
 
 class TestForcedValue:

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from ghzport.multiport import MultiportMatrix, bell_multiport, transmit, verify_unitarity
+from ghzport.angles import root_of_unity
+from ghzport.multiport import (
+    MultiportMatrix,
+    bell_multiport,
+    transmit,
+    unit_roots,
+    verify_unitarity,
+)
 
 
 def test_two_port_matrix():
@@ -96,3 +103,12 @@ def test_even_splitting():
             feed[port] = 1.0
             out = transmit(matrix, feed)
             assert np.max(np.abs(np.abs(out) ** 2 - 1.0 / ports)) < 1e-12
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 3, 5, 7, 9, 10, 16, 64, 1000, 1009, 4096, 4099,
+                                     20000, 65537, 100003])
+def test_unit_roots_are_root_of_unity_bit_for_bit(modulus):
+    expected = np.array([root_of_unity(j, modulus) for j in range(modulus)])
+    roots = unit_roots(modulus)
+    assert roots.dtype == expected.dtype
+    assert roots.tobytes() == expected.tobytes()  # every bit, signed zeros included

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -103,23 +102,6 @@ class TestRunParadox:
         assert report.swap_model_count is None
         assert report.witness is None
         assert report.verified  # algebraic stage alone still verifies
-
-    @pytest.mark.parametrize("particles", [4, 64])
-    def test_each_pattern_is_validated_once(self, particles, monkeypatch):
-        """The experiments' patterns, the swap constraints and (at N = 4) the
-        counts share pattern tuples: each is validated once per run."""
-        calls = Counter()
-        validate = SettingsCatalog.validate_pattern
-
-        def counted(catalog, pattern):
-            calls[tuple(pattern)] += 1
-            return validate(catalog, pattern)
-
-        monkeypatch.setattr(SettingsCatalog, "validate_pattern", counted)
-        report = run_paradox(particles)
-        assert report.verified
-        assert set(calls) == {e.pattern for e in report.scenario.experiments}
-        assert sum(calls.values()) == particles + 1
 
     def test_reruns_compare_equal(self):
         assert run_paradox(4) == run_paradox(4)

@@ -4,11 +4,14 @@ perfbench/layers.py wraps functions where ghzport.cli, ghzport.paradox and
 ghzport.quantum look them up as module globals. Renaming or removing one of
 those names breaks the traced run at import, and calling a function other
 than through its module global hides it from the trace. These tests load
-layers.py the way ``perfbench/run.py --trace 1`` does and check both.
+layers.py the way ``perfbench/run.py --trace 1`` does and check both, and
+run ``perfbench/run.py --trace 1`` itself, briefly, on every workload.
 """
 
 import importlib.util
 import io
+import json
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -73,3 +76,17 @@ def test_table_commands_go_through_patched_names(layers, argv, spans):
         assert cli.main([argv[0], scenario, *argv[1:], "--format", "records"]) == 0
     assert spans <= {span[0] for span in tracer.spans}
     assert tracer.counters["quantum.outcomes"] > 0
+
+
+@pytest.mark.parametrize("workload", [
+    workload["name"] for workload in
+    json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+def test_traced_run_completes(workload):
+    """The harness itself must not raise: layers.call_main catches whatever
+    cli.main raises, so a nonzero exit is the harness's own failure."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+            "--seconds", "0.1", "--trace", "1"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0)

@@ -574,7 +574,7 @@ def shared_row_tables(draw):
     the last station is half the time planted so that every exponent is the
     same k/M of a turn."""
     ports = draw(st.integers(2, 12))
-    particles = draw(st.integers(1, 8))
+    particles = draw(st.integers(1, 64))
     wide = draw(st.booleans())
     small = st.builds(Fraction, st.integers(0, 10**4),
                       st.sampled_from((1, 2, ports, ports * ports, 6 * ports, 97)))

@@ -13,6 +13,12 @@ neither tree gets bytecode and every child compiles its sources, as in a
 fresh checkout. Each run's full result is read from the tree's
 ``.perfbench_runs/result-*.json``.
 
+Before the pairs, each tree also runs ``perfbench/run.py --trace 1`` once on
+W, at the first seed and the same length. The traced run imports ghzport and
+patches it in process, so it can fail where ``--trace 0`` does not. The tool
+exits non-zero, naming the tree, when any run exits non-zero or a traced run
+reports a failed command.
+
 Both trees must be git checkouts whose ``src`` has no uncommitted change, so
 that ``parent_commit`` (the commit the parent's runs recorded) and
 ``change_src_tree`` (the git tree hash of the change's ``src``, which matches
@@ -43,11 +49,29 @@ from pathlib import Path
 METRICS = ("setup_s", "wall_s", "cpu_s", "proc_p50_s", "peak_rss_mb")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds) -> dict:
+def perfbench(name: str, tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
+    """The last stdout line of the tree's own perfbench/run.py, parsed; exits
+    naming the tree if the run exits non-zero."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    subprocess.run(argv, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+            "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{name} tree {tree}: --trace {trace} on {workload} seed {seed} "
+                         f"exited {done.returncode}\n{done.stderr[-2000:]}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def traced_check(name: str, tree: Path, workload: str, seed: int, seconds) -> None:
+    result = perfbench(name, tree, workload, seed, seconds, 1)
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{name} tree {tree}: --trace 1 on {workload} seed {seed} reports "
+                         f"{result['failed']} failed of {result['attempted']} commands")
+    print(f"{workload} seed {seed} {name}: --trace 1 correct", file=sys.stderr)
+
+
+def run_once(name: str, tree: Path, workload: str, seed: int, seconds) -> dict:
+    perfbench(name, tree, workload, seed, seconds, 0)
     path = tree / ".perfbench_runs" / f"result-{workload}-seed{seed}-trace0.json"
     result = json.loads(path.read_text(encoding="utf-8"))
     return {key: result[key] for key in
@@ -140,10 +164,12 @@ def main(argv=None) -> int:
                          f"{repeated}")
     benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
+    for tree in ("parent", "change"):
+        traced_check(tree, trees[tree], args.workload, args.seeds[0], seconds)
     for number, seed in enumerate(args.seeds):
         order = ("parent", "change") if number % 2 == 0 else ("change", "parent")
         for tree in order:
-            run = {"tree": tree, **run_once(trees[tree], args.workload, seed, seconds)}
+            run = {"tree": tree, **run_once(tree, trees[tree], args.workload, seed, seconds)}
             runs.append(run)
             print(f"{args.workload} seed {seed} {tree}: wall_s {run['metrics']['wall_s']:.3f} "
                   f"correct {run['correct']}", file=sys.stderr)
