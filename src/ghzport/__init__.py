@@ -1,99 +1,44 @@
 """Quantum predictions and local-hidden-variable falsification for N-particle
-GHZ experiments on symmetric 2M-port (Bell) beam splitters."""
+GHZ experiments on symmetric 2M-port (Bell) beam splitters.
+
+The package namespace is lazy (PEP 562): ``import ghzport`` imports no
+submodule and not numpy. Each public name is imported from its module on
+first access and then kept as a package attribute.
+"""
 
 __version__ = "0.1.0"
 
-from .angles import PhaseAngle, Residue, root_of_unity
-from .errors import (
-    ComputationIntegrityError,
-    GhzportError,
-    RationalOverflowError,
-    ResourceLimitError,
-    ScenarioError,
-)
-from .lhv import (
-    Constraint,
-    CountResult,
-    DeterministicModel,
-    ForcedValue,
-    SettingsCatalog,
-    count_satisfying,
-    ghz_forced_value,
-    model_value,
-    satisfies,
-)
-from .multiport import MultiportMatrix, bell_multiport, transmit, verify_unitarity
-from .paradox import (
-    ContradictionReport,
-    ParadoxExperiment,
-    ParadoxScenario,
-    build_scenario,
-    run_paradox,
-    run_scenario,
-    verify_quantum,
-)
-from .quantum import (
-    CorrelationValue,
-    ExperimentConfig,
-    OutcomeDistribution,
-    PhaseSettings,
-    SampleResult,
-    correlation_brute,
-    correlation_closed,
-    full_distribution,
-    joint_amplitude,
-    joint_probability,
-    perfect_correlation_class,
-    predict_last,
-    sample_outcomes,
-)
-from .scenario import SamplingSpec, Scenario, parse_scenario, parse_scenario_data
+#: Public name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in (
+    ("angles", "PhaseAngle Residue root_of_unity"),
+    ("errors", "ComputationIntegrityError GhzportError RationalOverflowError "
+               "ResourceLimitError ScenarioError"),
+    ("lhv", "Constraint CountResult DeterministicModel ForcedValue SettingsCatalog "
+            "count_satisfying ghz_forced_value model_value satisfies"),
+    ("multiport", "MultiportMatrix bell_multiport transmit verify_unitarity"),
+    ("paradox", "ContradictionReport ParadoxExperiment ParadoxScenario build_scenario "
+                "run_paradox run_scenario verify_quantum"),
+    ("quantum", "CorrelationValue ExperimentConfig OutcomeDistribution PhaseSettings "
+                "SampleResult correlation_brute correlation_closed full_distribution "
+                "joint_amplitude joint_probability perfect_correlation_class predict_last "
+                "sample_outcomes"),
+    ("scenario", "SamplingSpec Scenario parse_scenario parse_scenario_data"),
+) for name in names.split()}
 
-__all__ = [
-    "__version__",
-    "PhaseAngle",
-    "Residue",
-    "root_of_unity",
-    "GhzportError",
-    "RationalOverflowError",
-    "ResourceLimitError",
-    "ComputationIntegrityError",
-    "ScenarioError",
-    "MultiportMatrix",
-    "bell_multiport",
-    "verify_unitarity",
-    "transmit",
-    "ExperimentConfig",
-    "PhaseSettings",
-    "CorrelationValue",
-    "OutcomeDistribution",
-    "SampleResult",
-    "joint_amplitude",
-    "joint_probability",
-    "full_distribution",
-    "correlation_brute",
-    "correlation_closed",
-    "perfect_correlation_class",
-    "predict_last",
-    "sample_outcomes",
-    "SettingsCatalog",
-    "DeterministicModel",
-    "Constraint",
-    "ForcedValue",
-    "CountResult",
-    "model_value",
-    "satisfies",
-    "count_satisfying",
-    "ghz_forced_value",
-    "ParadoxScenario",
-    "ParadoxExperiment",
-    "ContradictionReport",
-    "build_scenario",
-    "verify_quantum",
-    "run_scenario",
-    "run_paradox",
-    "SamplingSpec",
-    "Scenario",
-    "parse_scenario",
-    "parse_scenario_data",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    # Only names in the table: anything else, submodule names included, raises
+    # AttributeError, so that ``from ghzport import quantum`` imports the module.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -249,21 +248,18 @@ def _cmd_paradox(args):
            "quantum_target_class": _class_json(report.target_class)}
 
 
-def _bundled_names() -> list:
-    root = resources.files("ghzport").joinpath("scenarios")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
-
-
 def _cmd_examples(args):
-    names = _bundled_names()
+    from importlib import resources  # only this command reads the bundle
+
+    root = resources.files("ghzport").joinpath("scenarios")
+    names = sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
     if args.name is None:
         yield lambda fmt: [name + "\n" for name in names]
         return
     if args.name not in names:
         raise GhzportError(f"no bundled scenario named {args.name!r}; "
                            f"available: {', '.join(names)}")
-    text = resources.files("ghzport").joinpath("scenarios", f"{args.name}.json").read_text(
-        encoding="utf-8")
+    text = root.joinpath(f"{args.name}.json").read_text(encoding="utf-8")
     yield lambda fmt: [text]
 
 
@@ -527,11 +523,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Console entry point.
+    """Run ``main`` on ``sys.argv`` and exit with its code.
 
-    Freezes the collector once the imports are done, so that every later
-    full collection, the one at interpreter exit included, skips the
-    import-time objects. ``main`` and library use leave the collector as is.
+    ``python -m ghzport`` and the ``ghzport`` script reach this through
+    ``ghzport.__main__.run``, which imports this module with the collector
+    paused and frozen after it. This freezes the collector once the imports
+    are done, so that every later full collection, the one at interpreter
+    exit included, skips the import-time objects. ``main`` and library use
+    leave the collector as is. The exit is ``sys.exit``, not ``os._exit``, so
+    ``atexit`` handlers and profilers still get to run.
     A reader closing stdout early (``| head``) ends the run with exit 1 and
     no traceback: stdout then points at devnull (the ``signal`` docs' recipe).
     """

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from importlib import resources
 
 import pytest
@@ -466,12 +467,15 @@ class TestDispatch:
         assert main(["paradox", "--N", "4", "--format", "records"]) == 0
         capsys.readouterr()
         assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
         # in a child, so this process is never frozen: importing the package
         # and calling main freeze nothing, run() freezes before main
         probe = ("import atexit, gc, sys; import ghzport, ghzport.cli as cli; "
                  "assert gc.get_freeze_count() == 0; "
+                 "assert gc.isenabled(); "
                  "cli.main(['multiport', '--ports', '2']); "
                  "assert gc.get_freeze_count() == 0; "
+                 "assert gc.isenabled(); "
                  "atexit.register(lambda: print('frozen', gc.get_freeze_count(), "
                  "file=sys.stderr)); "
                  "sys.argv[1:] = ['multiport', '--ports', '2']; cli.run()")
@@ -480,6 +484,61 @@ class TestDispatch:
         assert "M = 2 ports" in proc.stdout
         (line,) = [l for l in proc.stderr.splitlines() if l.startswith("frozen")]
         assert int(line.split()[1]) > 0
+
+    def test_module_entry_point_imports_with_the_collector_paused(self):
+        # gc.collect() first, so that allocations made before ghzport is
+        # reached cannot trigger a collection on their own
+        probe = textwrap.dedent("""
+            import gc, runpy, sys
+            gc.collect()
+            starts = []
+            gc.callbacks.append(lambda phase, info: phase == "start"
+                                and starts.append(gc.get_freeze_count()))
+            sys.argv[1:] = ["multiport", "--ports", "2"]
+            try:
+                runpy.run_module("ghzport", run_name="__main__")
+            except SystemExit as exc:
+                print("exit", exc.code, "enabled", gc.isenabled(),
+                      "unfrozen", starts.count(0), file=sys.stderr)
+        """)
+        proc = run_python("-c", probe)
+        assert proc.returncode == 0
+        assert "M = 2 ports" in proc.stdout
+        assert proc.stderr.splitlines()[-1] == "exit 0 enabled True unfrozen 0"
+
+    def test_main_writes_only_to_the_current_sys_stdout(self):
+        # Every subcommand, in both formats, on every bundled scenario, run
+        # through main under redirect_stdout: nothing may reach the process's
+        # own stdout (through fd 1, a stream kept from before the swap, or at
+        # exit), as perfbench's traced run prints its result last there.
+        probe = textwrap.dedent("""
+            import io, json, sys
+            from contextlib import redirect_stdout
+            from importlib import resources
+            import ghzport.cli as cli
+            root = resources.files("ghzport").joinpath("scenarios")
+            paths = sorted(str(p) for p in root.iterdir() if p.name.endswith(".json"))
+            runs = [["multiport", "--ports", "3"], ["paradox", "--N", "4"],
+                    ["paradox", "--N", "6"]]
+            for path in paths:
+                runs += [["probability", path], ["correlate", path],
+                         ["sample", path, "--shots", "100"]]
+                if "constraints" in json.loads(open(path, encoding="utf-8").read()):
+                    runs.append(["lhv-search", path])
+            runs = [[*argv, "--format", fmt] for argv in runs for fmt in ("text", "records")]
+            runs += [["examples"]] + [["examples", "--name", p.name[:-5]]
+                                      for p in root.iterdir() if p.name.endswith(".json")]
+            for argv in runs:
+                captured = io.StringIO()
+                with redirect_stdout(captured):
+                    code = cli.main(argv)
+                if code != 0 or not captured.getvalue():
+                    sys.exit(f"{argv}: exit {code}, {len(captured.getvalue())} characters")
+            print(len(runs), "runs", file=sys.stderr)
+        """)
+        proc = run_python("-c", probe, text=False)
+        assert (proc.returncode, proc.stdout) == (0, b""), proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith(b" runs")
 
     def test_stdout_byte_identical_for_paradox(self, ghz4_path):
         runs = [

@@ -1,0 +1,60 @@
+"""The package namespace is lazy (PEP 562): ``import ghzport`` imports no
+submodule, and each public name comes from its defining module on first use."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ghzport
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def run_fresh(code):
+    """Run ``python -c code`` in a fresh interpreter against this source tree."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", [n for n in ghzport.__all__ if n != "__version__"])
+def test_each_name_is_the_object_its_module_defines(name):
+    value = getattr(ghzport, name)
+    assert value.__module__.startswith("ghzport.")
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_version_is_a_plain_attribute():
+    assert ghzport.__version__ == "0.1.0"
+
+
+def test_star_import_binds_every_name_and_dir_lists_them():
+    namespace = {}
+    exec("from ghzport import *", namespace)
+    assert set(ghzport.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(ghzport, name) for name in ghzport.__all__)
+    assert set(ghzport.__all__) <= set(dir(ghzport))
+
+
+def test_unknown_name_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'ghzport' has no attribute 'nonesuch'"):
+        ghzport.nonesuch
+    assert not hasattr(ghzport, "nonesuch")
+
+
+def test_import_loads_no_submodule_and_not_numpy():
+    out = run_fresh("import sys, ghzport; print(sorted(m for m in sys.modules "
+                    "if m.startswith('ghzport.') or m == 'numpy'))")
+    assert out == "[]\n"
+
+
+def test_from_import_still_imports_submodules():
+    # perfbench/layers.py imports its patch targets this way
+    out = run_fresh("import ghzport; print(hasattr(ghzport, 'quantum')); "
+                    "from ghzport import multiport, paradox, quantum; "
+                    "print(multiport.__name__, paradox.__name__, quantum.__name__)")
+    assert out == "False\nghzport.multiport ghzport.paradox ghzport.quantum\n"

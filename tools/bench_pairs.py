@@ -17,7 +17,10 @@ Before the pairs, each tree also runs ``perfbench/run.py --trace 1`` once on
 W, at the first seed and the same length. The traced run imports ghzport and
 patches it in process, so it can fail where ``--trace 0`` does not. The tool
 exits non-zero, naming the tree, when any run exits non-zero or a traced run
-reports a failed command.
+reports a failed command. A run whose last stdout line is not a JSON result
+(``output_malformed``: something else printed after it, or it never came)
+also ends the tool with a non-zero exit, naming the tree, workload, seed and
+``--trace`` value and quoting the line.
 
 Both trees must be git checkouts whose ``src`` has no uncommitted change, so
 that ``parent_commit`` (the commit the parent's runs recorded) and
@@ -51,7 +54,8 @@ METRICS = ("setup_s", "wall_s", "cpu_s", "proc_p50_s", "peak_rss_mb")
 
 def perfbench(name: str, tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
     """The last stdout line of the tree's own perfbench/run.py, parsed; exits
-    naming the tree if the run exits non-zero."""
+    naming the tree if the run exits non-zero or that line is not a JSON
+    object."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
@@ -59,7 +63,16 @@ def perfbench(name: str, tree: Path, workload: str, seed: int, seconds, trace: i
     if done.returncode != 0:
         raise SystemExit(f"{name} tree {tree}: --trace {trace} on {workload} seed {seed} "
                          f"exited {done.returncode}\n{done.stderr[-2000:]}")
-    return json.loads(done.stdout.splitlines()[-1])
+    last = (done.stdout.splitlines() or [""])[-1]
+    try:
+        result = json.loads(last)
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        raise SystemExit(f"{name} tree {tree}: --trace {trace} on {workload} seed {seed}: "
+                         f"output_malformed, the last stdout line is not a JSON result: "
+                         f"{last!r}")
+    return result
 
 
 def traced_check(name: str, tree: Path, workload: str, seed: int, seconds) -> None:
