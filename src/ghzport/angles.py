@@ -26,6 +26,7 @@ UNIT_TOLERANCE = 1e-9
 PROBABILITY_TOLERANCE = 1e-10
 
 _INT64_MAX = 2**63 - 1
+_BELOW_TAU = math.nextafter(TAU, 0.0)
 
 
 def _checked(fraction: Fraction) -> Fraction:
@@ -46,6 +47,12 @@ def _wrap_radians(value: float) -> float:
     if wrapped >= TAU or wrapped == 0.0:  # seam noise and -0.0 become +0.0
         wrapped = 0.0
     return wrapped
+
+
+def _turns_radians(numerator: int, denominator: int) -> float:
+    """2*pi*p/q for a reduced p/q in [0, 1); rounding can graze the seam for
+    fractions near 1, so the result is capped at the float just below 2*pi."""
+    return min(TAU * numerator / denominator, _BELOW_TAU)
 
 
 def _is_index(value, size: int) -> bool:
@@ -171,10 +178,7 @@ class PhaseAngle(_Record):
     def from_turns(cls, turns: Union[Fraction, int, str]) -> "PhaseAngle":
         """Exact angle 2*pi*(p/q), normalized into one turn and reduced."""
         canonical = _checked(Fraction(turns) % 1)
-        radians = TAU * canonical.numerator / canonical.denominator
-        if radians >= TAU:  # rounding can graze the seam for fractions near 1
-            radians = 0.0 if canonical == 0 else math.nextafter(TAU, 0.0)
-        return cls(radians, canonical)
+        return cls(_turns_radians(canonical.numerator, canonical.denominator), canonical)
 
     @classmethod
     def parse(cls, value: Union[str, float, int]) -> "PhaseAngle":
@@ -229,3 +233,10 @@ class PhaseAngle(_Record):
         if self.turns is not None:
             text += f" ({self.turns.numerator}/{self.turns.denominator} of 2*pi)"
         return text
+
+
+def angle_to_json(angle: PhaseAngle):
+    """Canonical file form: "p/q" when exact, a float of radians otherwise."""
+    if angle.turns is not None:
+        return f"{angle.turns.numerator}/{angle.turns.denominator}"
+    return angle.radians

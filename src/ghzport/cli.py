@@ -6,11 +6,15 @@ or ``--format records`` (line-delimited JSON objects, one record per line).
 
 Records first: each ``_cmd_*`` handler computes its result, then yields it as
 record dicts, which ``main`` hands to one writer. ``--format records`` prints
-each as a JSON line; ``--format text`` renders it by record type, reading the
-latest earlier record of each type where it needs more (the ``run`` record
-carries the scenario). Table rows skip the dicts: a handler yields them as a
-callable returning the lines for a format. Nothing is yielded before the
-result is computed, so an error leaves stdout empty.
+each as a JSON line; ``--format text`` renders it by record type in
+``ghzport.text``, reading the latest earlier record of each type where needed
+(the ``run`` record carries the scenario). Table rows skip the dicts: a
+handler yields them as a callable returning the lines for a format. Nothing
+is yielded before the result is computed, so an error leaves stdout empty.
+
+``ghzport.scenario``, ``ghzport.paradox`` and ``ghzport.text`` load on first
+use. ``parse_scenario`` and ``run_paradox`` are forwarders kept as module
+globals: ``perfbench/layers.py`` and the tests patch them (ROADMAP item 2).
 
 Output discipline: stdout carries results only and is byte-identical across
 reruns with the same inputs and seed; diagnostics (validation notes, wall
@@ -18,8 +22,8 @@ clock, errors) go to stderr. Error exits are machine-greppable one-liners of
 the form ``ghzport: error [code] message``.
 
 Exit codes: 0 success (for paradox: contradiction verified), 1 input or
-integrity error, 2 usage error, 3 enumeration guard exceeded or shots too
-many to hold in memory, 4 paradox verdict mismatch.
+integrity error, 2 usage error, 3 enumeration guard exceeded or out of memory
+(shots too many to hold, or a ``MemoryError``), 4 paradox verdict mismatch.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .angles import PhaseAngle, Residue
+from .angles import angle_to_json
 from .errors import (
     ComputationIntegrityError,
     GhzportError,
@@ -43,7 +47,6 @@ from .errors import (
 )
 from .lhv import count_satisfying, ghz_forced_value
 from .multiport import bell_multiport
-from .paradox import run_paradox
 from .quantum import (
     _BLOCK,
     correlation_brute,
@@ -52,7 +55,6 @@ from .quantum import (
     perfect_correlation_class,
     sample_outcomes,
 )
-from .scenario import Scenario, angle_to_json, parse_scenario, scenario_to_data
 
 _EXIT_OK = 0
 _EXIT_ERROR = 1
@@ -95,7 +97,22 @@ def _run_record(command: str, **extra) -> dict:
             "command": command, **extra}
 
 
-def _load_scenario(args) -> Scenario:
+def _file_run_record(command: str, scenario) -> dict:
+    from .scenario import scenario_to_data
+    return _run_record(command, scenario=scenario_to_data(scenario))
+
+
+def parse_scenario(path):
+    from .scenario import parse_scenario
+    return parse_scenario(path)
+
+
+def run_paradox(particles: int, enumerate_models: bool = True):
+    from .paradox import run_paradox
+    return run_paradox(particles, enumerate_models)
+
+
+def _load_scenario(args):
     scenario = parse_scenario(args.scenario)
     for note in scenario.notes:
         _diagnostic(f"ghzport: note: {note}")
@@ -167,7 +184,7 @@ def _cmd_probability(args):
                       if fmt == "records" else ("  (", ")  p = {:.12g}\n"))
         return _table_rows(scenario.config, head, lambda s: tail.format(probs[s]))
 
-    yield _run_record("probability", scenario=scenario_to_data(scenario))
+    yield _file_run_record("probability", scenario)
     yield rows
     yield {"record": "probability-total", "total": distribution.total}
 
@@ -177,7 +194,7 @@ def _cmd_correlate(args):
     closed = correlation_closed(scenario.config, scenario.phases)
     brute = correlation_brute(scenario.config, scenario.phases)
     perfect = perfect_correlation_class(scenario.config, scenario.phases)
-    yield _run_record("correlate", scenario=scenario_to_data(scenario))
+    yield _file_run_record("correlate", scenario)
     yield {
         "record": "correlation",
         "closed": _complex_pair(closed.value),
@@ -207,7 +224,7 @@ def _cmd_sample(args):
         return _table_rows(scenario.config, head, lambda c: tail.format(c, c / shots),
                            result.counts.indices, result.counts.frequencies)
 
-    yield _run_record("sample", scenario=scenario_to_data(scenario))
+    yield _file_run_record("sample", scenario)
     yield {"record": "sample-meta", "generator": result.generator, "seed": result.seed,
            "shots": result.shots}
     yield rows
@@ -222,7 +239,7 @@ def _cmd_lhv_search(args):
         raise GhzportError("lhv-search needs at least one constraint in constraints.require")
     result = count_satisfying(scenario.catalog, scenario.constraints)
     forced = ghz_forced_value(scenario.constraints, scenario.catalog)
-    yield _run_record("lhv-search", scenario=scenario_to_data(scenario))
+    yield _file_run_record("lhv-search", scenario)
     yield {"record": "lhv-search", "model_space": scenario.catalog.model_count,
            "satisfying": result.count, "witness": _witness_json(result.witness),
            **_forced_json(forced)}
@@ -263,140 +280,12 @@ def _cmd_examples(args):
     yield lambda fmt: [text]
 
 
-# --- text rendering: one renderer per record type -----------------------------
-
-#: 1-based paradox setting index -> its letter (graded, reference).
-_LETTERS = {1: "g", 2: "r"}
-
-
-def _symbol(klass) -> str:
-    return Residue(klass["k"], klass["mod"]).symbol()
-
-
-def _angle_text(entry) -> str:
-    return PhaseAngle.parse(entry).describe()
-
-
-def _complex_text(pair) -> str:
-    return f"{pair[0]:.12g} {pair[1]:+.12g}i"
-
-
-def _witness_lines(witness, ports: int):
-    for station, values in enumerate(witness):
-        cells = "  ".join(f"I(setting {s + 1}) = {Residue(v, ports).symbol()}"
-                          for s, v in enumerate(values))
-        yield f"  station {station + 1}: {cells}"
-
-
-def _text_run(run, seen):
-    """The header each command prints before its results; lhv-search has none."""
-    command = run["command"]
-    if command == "multiport":
-        yield (f"Bell multiport, M = {run['ports']} ports "
-               f"(entry modulus 1/sqrt(M) = {1 / run['ports'] ** 0.5:.12g})")
-        yield "rows: input port; columns: output port"
-    elif command == "paradox":
-        yield (f"GHZ paradox scenario: N = {run['particles']} particles, "
-               f"M = {run['ports']} ports per station")
-        yield f"delta = {_angle_text(run['delta'])}"
-        yield "graded setting   g: " + "  ".join(map(_angle_text, run["graded"]))
-        yield "reference setting r: " + "  ".join(map(_angle_text, run["reference"]))
-        yield ""
-        yield "experiment        settings      quantum class"
-    elif command != "lhv-search":
-        scenario = run["scenario"]
-        yield (f"scenario: N = {scenario['particles']} particles, "
-               f"M = {scenario['ports']} ports per station")
-        yield "phases (radians; exact fractions of 2*pi in parentheses):"
-        for l, row in enumerate(scenario["phases"]):
-            yield f"  station {l + 1}: " + "  ".join(map(_angle_text, row))
-        yield ""
-        if command == "probability":
-            yield "joint detection probabilities (detector labels are 1-based):"
-
-
-def _text_correlation(record, seen):
-    scenario = seen["run"]["scenario"]
-    yield f"closed form:  E = {_complex_text(record['closed'])}"
-    yield (f"brute force:  E = {_complex_text(record['brute'])}   "
-           f"({scenario['ports'] ** scenario['particles']} outcomes)")
-    yield f"|closed - brute| = {record['difference']:.3e}"
-    exact, perfect = record["exact_class"], record["perfect_class"]
-    yield (f"exact class: {_symbol(exact)}  (rational path)" if exact is not None
-           else "exact class: none (inputs are not all exact rationals)")
-    yield (f"perfect correlation: class {_symbol(perfect)}" if perfect is not None
-           else "perfect correlation: none (|E| < 1)")
-
-
-def _text_lhv_search(record, seen):
-    scenario = seen["run"]["scenario"]
-    yield f"deterministic model space: {record['model_space']} models"
-    yield (f"models satisfying all {len(scenario['constraints']['require'])} constraints: "
-           f"{record['satisfying']}")
-    if record["witness"] is not None:
-        yield "witness (lexicographically smallest):"
-        yield from _witness_lines(record["witness"], scenario["ports"])
-    else:
-        yield "witness: none"
-    pattern = record["forced_pattern"]
-    yield (f"forced value: pattern ({', '.join(map(str, pattern))}) must give "
-           f"{_symbol(record['forced_class'])}" if pattern is not None
-           else "forced value: not derivable from these constraints")
-
-
-def _text_lhv(record, seen):
-    run = seen["run"]
-    yield ""
-    if record["forced_pattern"] is not None:
-        pattern = " ".join(_LETTERS[i] for i in record["forced_pattern"])
-        yield (f"algebraic stage: multiplying the {run['particles']} swap "
-               f"constraints forces pattern [{pattern}] to {_symbol(record['forced_class'])}")
-    else:
-        yield "algebraic stage: no value is forced (unexpected)"
-    if record["enumeration"] != "complete":
-        yield f"exhaustive stage: {record['enumeration']}"
-        return
-    yield (f"exhaustive stage: {run['ports'] ** (2 * run['particles'])} models; "
-           f"{record['swap_models']} satisfy the swap constraints; "
-           f"{record['all_models']} satisfy all {run['particles'] + 1} constraints")
-    if record["witness"] is not None:
-        yield "witness for the swap constraints alone:"
-        yield from _witness_lines(record["witness"], run["ports"])
-
-
-def _text_verdict(record, seen):
-    yield ""
-    yield (f"contradiction: quantum predicts {_symbol(record['quantum_target_class'])} "
-           f"(E = 1) at the all-reference pattern; local models force "
-           f"{_symbol(seen['lhv']['forced_class'])}  -> "
-           f"{'VERIFIED' if record['verified'] else 'UNCONFIRMED'}" if record["contradiction"]
-           else "contradiction: NOT PRESENT (forced value matches the quantum class)")
-
-
-_TEXT = {
-    "run": _text_run,
-    "multiport-row": lambda record, seen: [
-        "  " + "  ".join(f"{re:+.9f}{im:+.9f}i" for re, im in record["entries"])],
-    "probability-total": lambda record, seen: [f"total = {record['total']:.12g}"],
-    "correlation": _text_correlation,
-    "sample-meta": lambda record, seen: [
-        f"sampling: {record['shots']} shots, seed {record['seed']}, "
-        f"generator {record['generator']}"],
-    "sample-correlation": lambda record, seen: [
-        f"estimated E = {_complex_text(record['estimate'])}"],
-    "lhv-search": _text_lhv_search,
-    "experiment": lambda record, seen: [
-        f"  {record['label']:<15} {' '.join(_LETTERS[i] for i in record['pattern']):<13} "
-        f"{_symbol(record['quantum_class'])}"],
-    "lhv": _text_lhv,
-    "verdict": _text_verdict,
-}
-
-
 def _write(records, fmt: str) -> dict:
     """Print each record (or callable of table rows) in ``fmt`` and return the
     latest record of each type."""
     seen = {}
+    if fmt == "text":
+        from .text import _TEXT
     for record in records:
         if callable(record):
             sys.stdout.writelines(record(fmt))
@@ -499,8 +388,8 @@ def main(argv=None) -> int:
         for message in exc.errors:
             _diagnostic(f"  - {message}")
         return _EXIT_ERROR
-    except ResourceLimitError as exc:
-        _fail("guard", str(exc))
+    except (ResourceLimitError, MemoryError) as exc:
+        _fail("guard", str(exc) or "out of memory")
         return _EXIT_GUARD
     except ComputationIntegrityError as exc:
         if args.command == "paradox":  # the verdict did not come out as predicted

@@ -370,21 +370,23 @@ def _closed_form_exponents(settings: PhaseSettings):
     telescope to zero modulo one turn. When every phase is exact, returns
     ``(numerators, D)``: exponent m is numerators[m]/D of a turn in [0, 1),
     over the lcm D of the phase denominators, taken from the column sums S_m
-    as (S_m - S_(m+1)) mod D. Each distinct row object is read once: its
-    numerators are scaled to D and multiplied by the number of stations that
-    hold it, and S_m adds one such integer vector per distinct row, which is
-    exactly the sum over all N stations. Otherwise returns
-    ``(phases, None)``, the M unit phases exp(i * exponent) on the floating
-    track.
+    as (S_m - S_(m+1)) mod D. One pass over each distinct row object reads
+    its entries' integer ratios, which are scaled to D and multiplied by the
+    number of stations that hold the row; S_m adds one such integer vector
+    per distinct row, which is exactly the sum over all N stations. The first
+    entry with no exact part turns to ``(phases, None)``: the M unit phases
+    exp(i * exponent) on the floating track.
     """
-    if not settings.all_exact:
-        phi = settings.float_matrix()
-        deltas = phi - np.roll(phi, -1, axis=1)
-        return np.exp(1j * deltas.sum(axis=0)), None
-    distinct = _distinct(settings.rows)
-    denominator = math.lcm(*(a.turns.denominator for row, _ in distinct for a in row))
-    scaled = [[held * a.turns.numerator * (denominator // a.turns.denominator) for a in row]
-              for row, held in distinct]
+    ratios = []
+    for row, held in _distinct(settings.rows):
+        try:
+            ratios.append(([a.turns.as_integer_ratio() for a in row], held))
+        except AttributeError:  # turns is None: a float entry
+            phi = settings.float_matrix()
+            deltas = phi - np.roll(phi, -1, axis=1)
+            return np.exp(1j * deltas.sum(axis=0)), None
+    denominator = math.lcm(*{q for row, _ in ratios for _, q in row})
+    scaled = [[held * p * (denominator // q) for p, q in row] for row, held in ratios]
     sums = [sum(column) for column in zip(*scaled)]
     numerators = [(s - t) % denominator for s, t in zip(sums, sums[1:] + sums[:1])]
     if denominator > _INT64_MAX:  # only then can a reduced exponent leave the range

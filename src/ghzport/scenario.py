@@ -28,7 +28,7 @@ import json
 from pathlib import Path
 from typing import Optional, Tuple
 
-from .angles import PhaseAngle, Residue, _Record
+from .angles import PhaseAngle, Residue, _Record, angle_to_json
 from .errors import ScenarioError
 from .lhv import Constraint, SettingsCatalog
 from .quantum import ExperimentConfig, PhaseSettings
@@ -311,13 +311,6 @@ def parse_scenario(path) -> Scenario:
             str(file_path),
         ) from None
     return parse_scenario_data(data, source=str(file_path))
-
-
-def angle_to_json(angle: PhaseAngle):
-    """Canonical file form: "p/q" when exact, a float of radians otherwise."""
-    if angle.turns is not None:
-        return f"{angle.turns.numerator}/{angle.turns.denominator}"
-    return angle.radians
 
 
 def scenario_to_data(scenario: Scenario) -> dict:

@@ -7,12 +7,16 @@ import textwrap
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghzport.cli as cli
+from ghzport.angles import PhaseAngle, angle_to_json
 from ghzport.cli import main
 from ghzport.errors import ComputationIntegrityError
 from ghzport.quantum import full_distribution, sample_outcomes
-from ghzport.scenario import parse_scenario, parse_scenario_data
+from ghzport.scenario import parse_scenario, parse_scenario_data, scenario_to_data
+from ghzport.text import _angle_text
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SCENARIOS = resources.files("ghzport").joinpath("scenarios")
@@ -300,6 +304,41 @@ class TestRendering:
         assert [run_cli(capsys, *argv) for argv in commands] == whole
 
 
+class TestAngleText:
+    """text._angle_text formats an echoed angle from its parts and must read
+    exactly as parsing it again and describing it."""
+
+    @staticmethod
+    def assert_reads_as_parsed(entry):
+        assert _angle_text(entry) == PhaseAngle.parse(entry).describe()
+
+    def test_every_bundled_phase(self):
+        entries = []
+        for path in SCENARIOS.iterdir():
+            if path.name.endswith(".json"):
+                data = scenario_to_data(parse_scenario(str(path)))
+                rows = data["phases"] + [row for settings in data.get(
+                    "constraints", {}).get("settings", []) for row in settings]
+                entries += [entry for row in rows for entry in row]
+        assert entries
+        for entry in entries:
+            self.assert_reads_as_parsed(entry)
+
+    @pytest.mark.parametrize("entry", ["999999999/1000000000", "0/1"])
+    def test_edges_of_the_turn(self, entry):
+        self.assert_reads_as_parsed(entry)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=10**12))
+    def test_random_exact_entries(self, turns):
+        self.assert_reads_as_parsed(angle_to_json(PhaseAngle.from_turns(turns)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-100.0, 100.0))
+    def test_random_float_entries(self, radians):
+        self.assert_reads_as_parsed(angle_to_json(PhaseAngle.from_radians(radians)))
+
+
 class TestLhvSearch:
     def test_counts_and_forced_value(self, capsys, ghz4_path):
         code, out, err = run_cli(capsys, "lhv-search", ghz4_path, "--format", "records")
@@ -390,6 +429,17 @@ class TestParadox:
         expected[-2]["all_models"] = 1
         expected[-1]["verified"] = False
         assert records_of(out) == expected
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB")])
+    def test_memory_error_is_a_guard_exit(self, capsys, monkeypatch, ghz4_path,
+                                          error, message):
+        def exhausted(path):
+            raise error
+        monkeypatch.setattr(cli, "parse_scenario", exhausted)
+        assert run_cli(capsys, "correlate", ghz4_path) == (
+            3, "", f"ghzport: error [guard] {message}\n")
 
     def test_integrity_error_exits_4_with_empty_stdout(self, capsys, monkeypatch):
         def broken(n, enumerate_models):

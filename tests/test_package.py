@@ -1,9 +1,12 @@
 """The package namespace is lazy (PEP 562): ``import ghzport`` imports no
-submodule, and each public name comes from its defining module on first use."""
+submodule, and each public name comes from its defining module on first use.
+A command loads only the modules its subcommand runs."""
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -58,3 +61,47 @@ def test_from_import_still_imports_submodules():
                     "from ghzport import multiport, paradox, quantum; "
                     "print(multiport.__name__, paradox.__name__, quantum.__name__)")
     assert out == "False\nghzport.multiport ghzport.paradox ghzport.quantum\n"
+
+
+BUNDLED = os.path.join(SRC, "ghzport", "scenarios", "ghz-n4-m3.json")
+LAZY = ("ghzport.scenario", "ghzport.paradox", "ghzport.text", "numpy")
+
+
+def loaded_by(*argv):
+    """The LAZY modules that one ``python -m ghzport`` run loads, run through
+    runpy in a fresh interpreter; the run must exit 0."""
+    out = run_fresh(textwrap.dedent(f"""
+        import json, runpy, sys
+        sys.argv[1:] = {list(argv)!r}
+        try:
+            runpy.run_module("ghzport", run_name="__main__")
+        except SystemExit as exc:
+            print(json.dumps([exc.code, [m for m in {LAZY!r} if m in sys.modules]]))
+    """))
+    code, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0
+    return set(loaded)
+
+
+def test_paradox_records_load_neither_the_schema_nor_the_text_renderers():
+    assert loaded_by("paradox", "--N", "4", "--format", "records").isdisjoint(
+        {"ghzport.scenario", "ghzport.text"})
+
+
+def test_lhv_search_records_load_neither_paradox_nor_the_text_renderers():
+    loaded = loaded_by("lhv-search", BUNDLED, "--format", "records")
+    assert "ghzport.scenario" in loaded
+    assert loaded.isdisjoint({"ghzport.paradox", "ghzport.text"})
+
+
+@pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["correlate", BUNDLED]])
+def test_text_format_loads_the_text_renderers(argv):
+    assert "ghzport.text" in loaded_by(*argv, "--format", "text")
+
+
+def test_cli_import_still_loads_numpy():
+    # perfbench/layers.py (import_times, line 205) takes max() with no default
+    # over the numpy rows of ``-X importtime -c "import ghzport.cli"``, so the
+    # traced benchmark run fails once this import stops loading numpy
+    out = run_fresh("import sys, ghzport.cli; print('numpy' in sys.modules)")
+    assert out == "True\n"

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ghzport.angles import PhaseAngle, Residue
+from ghzport.angles import TAU, PhaseAngle, Residue
 from ghzport.errors import (
     ComputationIntegrityError,
     RationalOverflowError,
@@ -25,6 +25,7 @@ from ghzport.quantum import (
     _class_amplitudes,
     _class_probabilities_amplitude,
     _class_probabilities_cosine,
+    _closed_form_exponents,
     correlation_brute,
     correlation_closed,
     full_distribution,
@@ -647,6 +648,29 @@ class TestClosedFormOracle:
     def test_shared_rows_match_oracle(self, table):
         ports, rows = table
         self.assert_matches_oracle(ports, PhaseSettings(tuple(rows)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_row_tables(), st.data())
+    def test_exponents_match_oracle_and_a_float_entry_turns_to_floats(self, table, data):
+        # shared row objects over M = 2..12, composite M included; then one
+        # entry of one station becomes its float-only twin, at any position
+        ports, rows = table
+        want = oracles.closed_form_exponents([[a.turns for a in row] for row in rows], ports)
+        if max(e.denominator for e in want) > 2**63 - 1:
+            with pytest.raises(RationalOverflowError):
+                _closed_form_exponents(PhaseSettings(tuple(rows)))
+        else:
+            numerators, denominator = _closed_form_exponents(PhaseSettings(tuple(rows)))
+            assert [Fraction(e, denominator) for e in numerators] == want
+        station = data.draw(st.integers(0, len(rows) - 1))
+        port = data.draw(st.integers(0, ports - 1))
+        row = list(rows[station])
+        row[port] = PhaseAngle(row[port].radians)
+        rows[station] = tuple(row)
+        phases, denominator = _closed_form_exponents(PhaseSettings(tuple(rows)))
+        assert denominator is None
+        expected = [cmath.exp(1j * TAU * float(e)) for e in want]
+        assert np.allclose(phases, expected, rtol=0, atol=1e-9)
 
     def test_shared_row_is_read_once(self):
         # 64 stations on one row object cost the same reads as 2 stations
