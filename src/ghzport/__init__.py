@@ -11,6 +11,8 @@ __version__ = "0.1.0"
 #: Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in (
     ("angles", "PhaseAngle Residue root_of_unity"),
+    ("closed", "CorrelationValue ExperimentConfig PhaseSettings correlation_closed "
+               "perfect_correlation_class predict_last"),
     ("errors", "ComputationIntegrityError GhzportError RationalOverflowError "
                "ResourceLimitError ScenarioError"),
     ("lhv", "Constraint CountResult DeterministicModel ForcedValue SettingsCatalog "
@@ -18,10 +20,8 @@ _EXPORTS = {name: module for module, names in (
     ("multiport", "MultiportMatrix bell_multiport transmit verify_unitarity"),
     ("paradox", "ContradictionReport ParadoxExperiment ParadoxScenario build_scenario "
                 "run_paradox run_scenario verify_quantum"),
-    ("quantum", "CorrelationValue ExperimentConfig OutcomeDistribution PhaseSettings "
-                "SampleResult correlation_brute correlation_closed full_distribution "
-                "joint_amplitude joint_probability perfect_correlation_class predict_last "
-                "sample_outcomes"),
+    ("quantum", "OutcomeDistribution SampleResult correlation_brute full_distribution "
+                "joint_amplitude joint_probability sample_outcomes"),
     ("scenario", "SamplingSpec Scenario parse_scenario parse_scenario_data"),
 ) for name in names.split()}
 

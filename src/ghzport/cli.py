@@ -12,9 +12,12 @@ each as a JSON line; ``--format text`` renders it by record type in
 handler yields them as a callable returning the lines for a format. Nothing
 is yielded before the result is computed, so an error leaves stdout empty.
 
-``ghzport.scenario``, ``ghzport.paradox`` and ``ghzport.text`` load on first
-use. ``parse_scenario`` and ``run_paradox`` are forwarders kept as module
-globals: ``perfbench/layers.py`` and the tests patch them (ROADMAP item 2).
+Only ``ghzport.closed`` (the closed form) loads with this module; every other
+layer loads on first use. Each function a handler calls from ``scenario``,
+``paradox``, ``lhv``, ``multiport`` or ``quantum`` is a module global made by
+``_on_first_call``, which imports its module when first called. They stay
+module globals because ``perfbench/layers.py`` and the tests patch them
+(ROADMAP item 2).
 
 Output discipline: stdout carries results only and is byte-identical across
 reruns with the same inputs and seed; diagnostics (validation notes, wall
@@ -34,26 +37,18 @@ import json
 import os
 import sys
 import time
+from importlib import import_module
 
 import numpy as np
 
 from . import __version__
-from .angles import angle_to_json
+from .angles import _BLOCK, angle_to_json
+from .closed import correlation_closed, perfect_correlation_class
 from .errors import (
     ComputationIntegrityError,
     GhzportError,
     ResourceLimitError,
     ScenarioError,
-)
-from .lhv import count_satisfying, ghz_forced_value
-from .multiport import bell_multiport
-from .quantum import (
-    _BLOCK,
-    correlation_brute,
-    correlation_closed,
-    full_distribution,
-    perfect_correlation_class,
-    sample_outcomes,
 )
 
 _EXIT_OK = 0
@@ -102,14 +97,23 @@ def _file_run_record(command: str, scenario) -> dict:
     return _run_record(command, scenario=scenario_to_data(scenario))
 
 
-def parse_scenario(path):
-    from .scenario import parse_scenario
-    return parse_scenario(path)
+def _on_first_call(module: str, name: str):
+    """A stand-in for ``ghzport.<module>.<name>`` that looks the function up
+    at each call, so that its module is imported by the first call."""
+    def forward(*args, **kwargs):
+        return getattr(import_module(f"ghzport.{module}"), name)(*args, **kwargs)
+    forward.__name__ = forward.__qualname__ = name
+    return forward
 
 
-def run_paradox(particles: int, enumerate_models: bool = True):
-    from .paradox import run_paradox
-    return run_paradox(particles, enumerate_models)
+parse_scenario = _on_first_call("scenario", "parse_scenario")
+run_paradox = _on_first_call("paradox", "run_paradox")
+count_satisfying = _on_first_call("lhv", "count_satisfying")
+ghz_forced_value = _on_first_call("lhv", "ghz_forced_value")
+bell_multiport = _on_first_call("multiport", "bell_multiport")
+full_distribution = _on_first_call("quantum", "full_distribution")
+correlation_brute = _on_first_call("quantum", "correlation_brute")
+sample_outcomes = _on_first_call("quantum", "sample_outcomes")
 
 
 def _load_scenario(args):

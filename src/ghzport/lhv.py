@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 from .angles import PhaseAngle, Residue, _is_index, _Record
 from .errors import ResourceLimitError
-from .quantum import PhaseSettings
+from .closed import PhaseSettings
 
 #: Exhaustive-search guard on the total deterministic model count.
 MODEL_GUARD = 10**8

@@ -25,7 +25,7 @@ from .lhv import (
     count_satisfying,
     ghz_forced_value,
 )
-from .quantum import ExperimentConfig, correlation_closed
+from .closed import ExperimentConfig, correlation_closed
 
 #: Setting indices inside a paradox catalog.
 GRADED, REFERENCE = 0, 1

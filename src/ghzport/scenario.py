@@ -30,8 +30,7 @@ from typing import Optional, Tuple
 
 from .angles import PhaseAngle, Residue, _Record, angle_to_json
 from .errors import ScenarioError
-from .lhv import Constraint, SettingsCatalog
-from .quantum import ExperimentConfig, PhaseSettings
+from .closed import ExperimentConfig, PhaseSettings
 
 SCHEMA_ID = "ghzport-scenario/1"
 
@@ -190,6 +189,8 @@ def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
 
 
 def _parse_constraints(block, particles, ports, phase_rows, collector):
+    from .lhv import Constraint, SettingsCatalog  # only a constraints block needs them
+
     if not isinstance(block, dict):
         collector.error("constraints: expected an object with settings/require")
         return None, None
@@ -303,6 +304,9 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError([f"file not found: {file_path}"], str(file_path)) from None
     except OSError as exc:
         raise ScenarioError([f"cannot read {file_path}: {exc}"], str(file_path)) from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"cannot read {file_path}: not UTF-8 text ({exc})"],
+                            str(file_path)) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -310,6 +314,8 @@ def parse_scenario(path) -> Scenario:
             [f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"],
             str(file_path),
         ) from None
+    except RecursionError:
+        raise ScenarioError(["malformed JSON: nested too deeply"], str(file_path)) from None
     return parse_scenario_data(data, source=str(file_path))
 
 

@@ -632,3 +632,26 @@ def test_error_exit_prints_nothing_on_stdout(capsys, tmp_path, argv, doc, code, 
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert f"ghzport: error [{word}] " in err
+
+
+@pytest.mark.parametrize("command", ["lhv-search", "correlate"])
+def test_deeply_nested_json_is_a_scenario_error(tmp_path, command):
+    # a fresh process, so that the recursion limit is the interpreter's default
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    proc = run_module(command, str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        f"ghzport: error [scenario] 1 validation error(s) in {path}",
+        "  - malformed JSON: nested too deeply"]
+
+
+def test_non_utf8_file_is_a_scenario_error_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "ghzport-scenario/1", "x": "\xff"}')
+    code, out, err = run_cli(capsys, "correlate", str(path))
+    assert (code, out) == (1, "")
+    head, message = err.splitlines()
+    assert head == f"ghzport: error [scenario] 1 validation error(s) in {path}"
+    assert message.startswith(f"  - cannot read {path}: not UTF-8 text (")
+    assert "0xff" in message

@@ -64,12 +64,14 @@ def test_from_import_still_imports_submodules():
 
 
 BUNDLED = os.path.join(SRC, "ghzport", "scenarios", "ghz-n4-m3.json")
-LAZY = ("ghzport.scenario", "ghzport.paradox", "ghzport.text", "numpy")
+LAZY = ("ghzport.scenario", "ghzport.paradox", "ghzport.text", "ghzport.lhv",
+        "ghzport.multiport", "ghzport.quantum", "ghzport.closed", "numpy")
 
 
 def loaded_by(*argv):
     """The LAZY modules that one ``python -m ghzport`` run loads, run through
-    runpy in a fresh interpreter; the run must exit 0."""
+    runpy in a fresh interpreter; the run must exit 0. ``ghzport.closed`` and
+    numpy load with the command line, so every run lists them."""
     out = run_fresh(textwrap.dedent(f"""
         import json, runpy, sys
         sys.argv[1:] = {list(argv)!r}
@@ -97,6 +99,46 @@ def test_lhv_search_records_load_neither_paradox_nor_the_text_renderers():
 @pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["correlate", BUNDLED]])
 def test_text_format_loads_the_text_renderers(argv):
     assert "ghzport.text" in loaded_by(*argv, "--format", "text")
+
+
+@pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["lhv-search", BUNDLED]])
+def test_exact_track_loads_no_outcome_table_code(argv):
+    loaded = loaded_by(*argv, "--format", "records")
+    assert {"ghzport.closed", "ghzport.lhv"} <= loaded
+    assert loaded.isdisjoint({"ghzport.quantum", "ghzport.multiport"})
+
+
+@pytest.fixture(scope="module")
+def float_table(tmp_path_factory):
+    """A scenario of float phases with no constraints block."""
+    path = tmp_path_factory.mktemp("tables") / "float.json"
+    path.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": 3, "ports": 3,
+                                "phases": [[0.1, 0.2, 0.3]] * 3}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["correlate"], ["sample", "--shots", "10"],
+                                     ["probability"]])
+def test_table_commands_without_constraints_load_no_lhv(float_table, command):
+    loaded = loaded_by(command[0], float_table, *command[1:], "--format", "records")
+    assert {"ghzport.scenario", "ghzport.quantum"} <= loaded
+    assert loaded.isdisjoint({"ghzport.lhv", "ghzport.paradox"})
+
+
+def test_a_constraints_block_loads_lhv():
+    assert "ghzport.lhv" in loaded_by("correlate", BUNDLED, "--format", "records")
+
+
+def test_multiport_loads_neither_the_schema_nor_lhv_nor_the_table_layer():
+    loaded = loaded_by("multiport", "--ports", "3", "--format", "records")
+    assert "ghzport.multiport" in loaded
+    assert loaded.isdisjoint({"ghzport.scenario", "ghzport.lhv", "ghzport.quantum"})
+
+
+def test_closed_form_names_do_not_load_the_table_layer():
+    out = run_fresh("import sys, ghzport; ghzport.PhaseSettings, ghzport.correlation_closed; "
+                    "print('ghzport.closed' in sys.modules, 'ghzport.quantum' in sys.modules)")
+    assert out == "True False\n"
 
 
 def test_cli_import_still_loads_numpy():

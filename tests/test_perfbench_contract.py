@@ -22,6 +22,7 @@ import pytest
 import ghzport.cli as cli
 
 ROOT = Path(__file__).resolve().parents[1]
+BUNDLED = str(ROOT / "src" / "ghzport" / "scenarios" / "ghz-n4-m3.json")
 
 
 @pytest.fixture()
@@ -63,22 +64,48 @@ def test_every_paradox_experiment_goes_through_the_patched_name(layers):
     assert opened["paradox.verify_quantum"] == 1
 
 
+def traced(layers, *commands):
+    """The tracer of instrumented ``cli.main`` runs of ``commands``, in order,
+    in records format."""
+    tracer = layers.Tracer()
+    out, err = io.StringIO(), io.StringIO()
+    with layers.instrumented(tracer), redirect_stdout(out), redirect_stderr(err):
+        for argv in commands:
+            assert cli.main([*argv, "--format", "records"]) == 0
+    return tracer
+
+
 @pytest.mark.parametrize("argv, spans", [
     (["correlate"], {"quantum.distribution", "quantum.brute", "quantum.perfect_class"}),
     (["sample", "--shots", "100"], {"quantum.distribution", "quantum.sample"}),
     (["probability"], {"quantum.distribution"}),
 ])
 def test_table_commands_go_through_patched_names(layers, argv, spans):
-    scenario = str(ROOT / "src" / "ghzport" / "scenarios" / "ghz-n4-m3.json")
-    tracer = layers.Tracer()
-    out, err = io.StringIO(), io.StringIO()
-    with layers.instrumented(tracer), redirect_stdout(out), redirect_stderr(err):
-        assert cli.main([argv[0], scenario, *argv[1:], "--format", "records"]) == 0
+    tracer = traced(layers, [argv[0], BUNDLED, *argv[1:]])
     # cli.parse_scenario forwards to ghzport.scenario; the span and the file
     # count show that the call still goes through the patched name
-    assert spans | {"scenario.parse"} <= {span[0] for span in tracer.spans}
+    opened = Counter(span[0] for span in tracer.spans)
+    assert spans | {"scenario.parse"} <= set(opened)
     assert tracer.counters["scenario.files"] > 0
     assert tracer.counters["quantum.outcomes"] > 0
+    # cli.full_distribution is wrapped around the original, so the table is
+    # traced once, not again through the patched quantum.full_distribution
+    assert opened["quantum.distribution"] == 1
+
+
+def test_lhv_search_goes_through_the_patched_cli_names(layers):
+    # paradox reaches lhv through paradox.* globals; lhv-search through cli.*.
+    # Two runs: a first call into a lazily loaded module must not replace
+    # the patched name, or the second run would go untraced.
+    tracer = traced(layers, ["lhv-search", BUNDLED], ["lhv-search", BUNDLED])
+    opened = Counter(span[0] for span in tracer.spans)
+    assert (opened["scenario.parse"], opened["lhv.count"], opened["lhv.forced"]) == (2, 2, 2)
+    assert tracer.counters["lhv.models"] > 0
+
+
+def test_multiport_goes_through_the_patched_name(layers):
+    tracer = traced(layers, ["multiport", "--ports", "3"])
+    assert "multiport.build" in {span[0] for span in tracer.spans}
 
 
 @pytest.mark.parametrize("workload", [

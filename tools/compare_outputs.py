@@ -22,6 +22,10 @@ Builds one command set:
     whose inconsistency shows mod 2 only), and two shapes at the model guard:
     three one-setting stations at M = 464 and four two-setting stations at
     M = 10.
+  - correlate, in both formats, on a scenario whose ``constraints.require``
+    holds one valid entry and three invalid ones, so that its ``[scenario]``
+    errors come from the constraint parser and ``ghzport.lhv``, which
+    loads only for a constraints block.
 Commands that occur twice run once.
 
 Then it starts one child per tree, with that tree's ``src`` first on
@@ -94,6 +98,9 @@ CATALOGS = (
     ("lhv-guard-m10", 10, (2,) * 4,
      [(p + (1,), c) for p, c in zip(MERMIN, (0, 0, 0, 2))] + [(SWAPS[3], 2)]),
 )
+#: A constraints.require with one valid entry and then a short pattern, a
+#: setting index past the catalog and a class that is not an integer.
+BAD_REQUIRE = [((1, 1), 1), ((1,), 0), ((1, 2), 0), ((1, 1), "2")]
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ s")
 
 
@@ -164,6 +171,8 @@ def command_set(tree: Path, inputs: Path) -> list:
     for name, ports, counts, require in CATALOGS:
         path = _catalog_scenario(inputs / f"{name}.json", ports, counts, require)
         commands.extend(_both_formats(("lhv-search", path)))
+    path = _catalog_scenario(inputs / "bad-require.json", 3, (1, 1), BAD_REQUIRE)
+    commands.extend(_both_formats(("correlate", path)))
     commands.extend(list(argv) for argv in EXTRA)
     unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
     return list(unique.values())
