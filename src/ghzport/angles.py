@@ -28,11 +28,6 @@ PROBABILITY_TOLERANCE = 1e-10
 _INT64_MAX = 2**63 - 1
 _BELOW_TAU = math.nextafter(TAU, 0.0)
 
-#: Longest run of outcomes or draws held as one array by the table-free
-#: paths: sampling draws prefixes in blocks of it, and sampled counts and
-#: written rows are read out in blocks of it.
-_BLOCK = 2**16
-
 
 def _checked(fraction: Fraction) -> Fraction:
     """Reject rationals outside the supported 64-bit range."""

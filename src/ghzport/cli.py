@@ -9,15 +9,17 @@ record dicts, which ``main`` hands to one writer. ``--format records`` prints
 each as a JSON line; ``--format text`` renders it by record type in
 ``ghzport.text``, reading the latest earlier record of each type where needed
 (the ``run`` record carries the scenario). Table rows skip the dicts: a
-handler yields them as a callable returning the lines for a format. Nothing
-is yielded before the result is computed, so an error leaves stdout empty.
+handler yields them as a callable returning the lines for a format, written
+by ``quantum._table_rows``. Nothing is yielded before the result is
+computed, so an error leaves stdout empty.
 
-Only ``ghzport.closed`` (the closed form) loads with this module; every other
-layer loads on first use. Each function a handler calls from ``scenario``,
-``paradox``, ``lhv``, ``multiport`` or ``quantum`` is a module global made by
-``_on_first_call``, which imports its module when first called. They stay
-module globals because ``perfbench/layers.py`` and the tests patch them
-(ROADMAP item 2).
+Processes start ``main`` through ``ghzport.__main__.run``. Only
+``ghzport.closed`` (the closed form, and numpy with it) loads with this
+module; every other layer loads on first use. Each function a handler calls
+from ``scenario``, ``paradox``, ``lhv``, ``multiport`` or ``quantum`` is a
+module global made by ``_on_first_call``, which imports its module when
+first called, and stays a global because ``perfbench/layers.py`` and the
+tests patch it (ROADMAP item 2).
 
 Output discipline: stdout carries results only and is byte-identical across
 reruns with the same inputs and seed; diagnostics (validation notes, wall
@@ -32,17 +34,13 @@ integrity error, 2 usage error, 3 enumeration guard exceeded or out of memory
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import os
 import sys
 import time
 from importlib import import_module
 
-import numpy as np
-
 from . import __version__
-from .angles import _BLOCK, angle_to_json
+from .angles import angle_to_json
 from .closed import correlation_closed, perfect_correlation_class
 from .errors import (
     ComputationIntegrityError,
@@ -123,50 +121,6 @@ def _load_scenario(args):
     return scenario
 
 
-def _half_labels(values, digits: int, labels, lead: str):
-    """Label text and digit sum of each half value: its ``digits`` detector
-    labels, digit k read as labels[k], each after ", " but the first after
-    ``lead``."""
-    text, sums = np.full(len(values), "", dtype=object), np.zeros(len(values), dtype=np.intp)
-    for place in range(digits, 0, -1):  # least significant digit first
-        values, column = np.divmod(values, len(labels))
-        text = (lead if place == 1 else ", ") + labels[column] + text
-        sums += column
-    return text, sums
-
-
-def _table_rows(cfg, head: str, tail, index=None, values=None):
-    """One string per block of _BLOCK rows: for each ascending lex index
-    (every outcome when ``index`` is None), head + 1-based detector labels +
-    tail(v), v being the row's entry of ``values`` or else its class.
-
-    An index splits into a high and a low half of its digits. The M label
-    strings are formatted once, and every low half value (at most sqrt(M**N))
-    is labelled once; high half values and tails only as they occur in a
-    block. A row is three gathered strings.
-    """
-    ports, low_digits = cfg.ports, cfg.particles // 2
-    width = ports**low_digits
-    labels = np.array([str(k + 1) for k in range(ports)], dtype=object)
-    low_text, low_sums = _half_labels(np.arange(width), low_digits, labels, ", ")
-    total = cfg.outcome_count if index is None else len(index)
-    for start in range(0, total, _BLOCK):
-        stop = min(start + _BLOCK, total)
-        block = np.arange(start, stop) if index is None else index[start:stop]
-        keys, high = np.unique(block // width, return_inverse=True)
-        high_text, high_sums = _half_labels(keys, cfg.particles - low_digits, labels, head)
-        low = block % width
-        if values is None:
-            keys = (high_sums[high] + low_sums[low]) % ports
-        else:
-            keys = values[start:stop]
-        keys, pick = np.unique(keys, return_inverse=True)
-        parts = np.empty((stop - start, 3), dtype=object)
-        parts[:, 0], parts[:, 1] = high_text[high], low_text[low]
-        parts[:, 2] = np.array([tail(k) for k in keys.tolist()], dtype=object)[pick]
-        yield "".join(parts.ravel().tolist())
-
-
 # --- subcommands: each yields its records once the result is computed --------
 
 
@@ -184,6 +138,7 @@ def _cmd_probability(args):
     probs = distribution.class_probabilities().tolist()
 
     def rows(fmt):
+        from .quantum import _table_rows
         head, tail = (('{"record": "probability", "detectors": [', '], "p": {!r}}}\n')
                       if fmt == "records" else ("  (", ")  p = {:.12g}\n"))
         return _table_rows(scenario.config, head, lambda s: tail.format(probs[s]))
@@ -222,6 +177,7 @@ def _cmd_sample(args):
     result = sample_outcomes(scenario.config, scenario.phases, shots, seed)
 
     def rows(fmt):
+        from .quantum import _table_rows
         head, tail = (('{"record": "sample-count", "detectors": [',
                        '], "count": {}, "frequency": {!r}}}\n') if fmt == "records"
                       else ("  (", ")  count = {}  frequency = {:.6f}\n"))
@@ -414,29 +370,3 @@ def main(argv=None) -> int:
         return _EXIT_MISMATCH
     return _EXIT_OK
 
-
-def run() -> None:
-    """Run ``main`` on ``sys.argv`` and exit with its code.
-
-    ``python -m ghzport`` and the ``ghzport`` script reach this through
-    ``ghzport.__main__.run``, which imports this module with the collector
-    paused and frozen after it. This freezes the collector once the imports
-    are done, so that every later full collection, the one at interpreter
-    exit included, skips the import-time objects. ``main`` and library use
-    leave the collector as is. The exit is ``sys.exit``, not ``os._exit``, so
-    ``atexit`` handlers and profilers still get to run.
-    A reader closing stdout early (``| head``) ends the run with exit 1 and
-    no traceback: stdout then points at devnull (the ``signal`` docs' recipe).
-    """
-    gc.freeze()
-    try:
-        code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = _EXIT_ERROR
-    sys.exit(code)
-
-
-if __name__ == "__main__":
-    run()

@@ -28,11 +28,11 @@ from .angles import (
     _INT64_MAX,
     PhaseAngle,
     Residue,
-    _checked,
     _is_index,
     _Record,
     root_of_unity,
 )
+from .errors import RationalOverflowError
 
 
 class ExperimentConfig(_Record):
@@ -157,8 +157,13 @@ def _closed_form_exponents(settings: PhaseSettings):
     sums = [sum(column) for column in zip(*scaled)]
     numerators = [(s - t) % denominator for s, t in zip(sums, sums[1:] + sums[:1])]
     if denominator > _INT64_MAX:  # only then can a reduced exponent leave the range
-        for e in numerators:
-            _checked(Fraction(e, denominator))
+        for m, exponent in enumerate(Fraction(e, denominator) for e in numerators):
+            if exponent.denominator > _INT64_MAX:  # in [0, 1): the numerator is smaller
+                raise RationalOverflowError(
+                    f"closed-form exponent of ports {m + 1}, {(m + 1) % len(numerators) + 1} is "
+                    f"{exponent.numerator}/{exponent.denominator} of a turn, over the lcm "
+                    f"{denominator} of the phase denominators; it exceeds the supported 64-bit "
+                    "numerator/denominator range")
     return numerators, denominator
 
 

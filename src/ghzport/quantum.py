@@ -3,10 +3,10 @@
 Joint detection probabilities by two independent routes (squared amplitude
 vs cosine expansion, permanently cross-asserted), the implicit M**N-outcome
 distribution, the Bell-number correlation by its definition over outcomes,
-summed class by class, and seeded sampling. Every table operation stays
-under ``ENUMERATION_GUARD``. The closed form, perfect-correlation detection
-and the prediction of the last outcome are in ``ghzport.closed``; their
-names are re-exported here.
+summed class by class, seeded sampling, and the text of the table rows the
+command line prints. Every table operation stays under ``ENUMERATION_GUARD``.
+The closed form, perfect-correlation detection and the prediction of the
+last outcome are in ``ghzport.closed``.
 
 Detector indices are 0-based throughout this module; the command-line layer
 re-exposes 1-based port labels.
@@ -20,10 +20,9 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .angles import PROBABILITY_TOLERANCE, _BLOCK, _is_index, _Record
-from .closed import (  # the closed-form names stay importable from here too
-    CorrelationValue, ExperimentConfig, PhaseSettings, _check_settings, _closed_form_exponents,
-    _distinct, _exact_class, correlation_closed, perfect_correlation_class, predict_last)
+from .angles import PROBABILITY_TOLERANCE, _is_index, _Record
+from .closed import CorrelationValue, ExperimentConfig, PhaseSettings, _check_settings
+from .closed import correlation_closed  # noqa: F401  read here by perfbench/layers.py
 from .errors import ComputationIntegrityError, ResourceLimitError
 from .multiport import unit_roots
 
@@ -34,6 +33,11 @@ ENUMERATION_GUARD = 10**7
 #: Name of the pseudo-random generator and of the way it is drawn from when
 #: sampling, recorded in outputs.
 GENERATOR_NAME = "pcg64/class-first"
+
+#: Longest run of outcomes or draws held as one array: sampling draws
+#: prefixes in blocks of it, and sampled counts and written rows are read out
+#: in blocks of it.
+_BLOCK = 2**16
 
 
 def _ensure_enumerable(cfg: ExperimentConfig) -> None:
@@ -109,31 +113,67 @@ def _checked_class_probabilities(phi: np.ndarray, ports: int) -> np.ndarray:
     return route_a
 
 
-def _digit_sums(particles: int, ports: int) -> np.ndarray:
-    """sum of detector indices for every outcome, lexicographic by station."""
+def _digit_sums(digits: int, ports: int) -> np.ndarray:
+    """Digit sum mod M of every ``digits``-digit value, in lex order."""
     sums = np.zeros(1, dtype=np.int32)
     step = np.arange(ports, dtype=np.int32)
-    for _ in range(particles):
+    for _ in range(digits):
         sums = (sums[:, None] + step[None, :]).reshape(-1)
-    return sums
+    return (sums % ports).astype(np.intp)
 
 
 def _class_tables(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """(low, high): digit-sum classes of the last k and the first N-k digits.
+    """(low, high): digit-sum classes of the last N // 2 and the first
+    N - N // 2 digits, the halves ``_table_rows`` labels. Outcome
+    i = h * len(low) + j (lex index) lies in class (high[h] + low[j]) mod M;
+    sampling reads them to fix each draw's last digit."""
+    low_digits = cfg.particles // 2
+    return (_digit_sums(low_digits, cfg.ports),
+            _digit_sums(cfg.particles - low_digits, cfg.ports))
 
-    Outcome i = h * len(low) + j (lex index) lies in class (high[h] + low[j])
-    mod M; sampling reads them to fix each draw's last digit. k >= 1 is the
-    largest with M**k <= _BLOCK, so ``low`` is short unless M alone exceeds
-    it, and ``high`` has M**(N-k) < M**(N+1)/_BLOCK entries: neither table
-    grows as M times M**k.
+
+def _half_labels(values, digits: int, labels, lead: str):
+    """Label text and digit sum of each half value: its ``digits`` detector
+    labels, digit k read as labels[k], each after ", " but the first after
+    ``lead``."""
+    text, sums = np.full(len(values), "", dtype=object), np.zeros(len(values), dtype=np.intp)
+    for place in range(digits, 0, -1):  # least significant digit first
+        values, column = np.divmod(values, len(labels))
+        text = (lead if place == 1 else ", ") + labels[column] + text
+        sums += column
+    return text, sums
+
+
+def _table_rows(cfg, head: str, tail, index=None, values=None):
+    """One string per block of _BLOCK rows: for each ascending lex index
+    (every outcome when ``index`` is None), head + 1-based detector labels +
+    tail(v), v being the row's entry of ``values`` or else its class.
+
+    An index splits into a high and a low half of its digits. The M label
+    strings are formatted once, and every low half value (at most sqrt(M**N))
+    is labelled once; high half values and tails only as they occur in a
+    block. A row is three gathered strings.
     """
-    ports, particles = cfg.ports, cfg.particles
-    k = 1
-    while k < particles and ports ** (k + 1) <= _BLOCK:
-        k += 1
-    low = _digit_sums(k, ports) % ports
-    high = _digit_sums(particles - k, ports) % ports
-    return low.astype(np.intp), high.astype(np.intp)
+    ports, low_digits = cfg.ports, cfg.particles // 2
+    width = ports**low_digits
+    labels = np.array([str(k + 1) for k in range(ports)], dtype=object)
+    low_text, low_sums = _half_labels(np.arange(width), low_digits, labels, ", ")
+    total = cfg.outcome_count if index is None else len(index)
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        block = np.arange(start, stop) if index is None else index[start:stop]
+        keys, high = np.unique(block // width, return_inverse=True)
+        high_text, high_sums = _half_labels(keys, cfg.particles - low_digits, labels, head)
+        low = block % width
+        if values is None:
+            keys = (high_sums[high] + low_sums[low]) % ports
+        else:
+            keys = values[start:stop]
+        keys, pick = np.unique(keys, return_inverse=True)
+        parts = np.empty((stop - start, 3), dtype=object)
+        parts[:, 0], parts[:, 1] = high_text[high], low_text[low]
+        parts[:, 2] = np.array([tail(k) for k in keys.tolist()], dtype=object)[pick]
+        yield "".join(parts.ravel().tolist())
 
 
 def joint_amplitude(cfg: ExperimentConfig, settings: PhaseSettings, outcome) -> complex:

@@ -88,7 +88,7 @@ def _parse_angle(value, where: str, collector: _Collector) -> Optional[PhaseAngl
         collector.error(f"{where}: cannot read {value!r} as radians or \"p/q\"")
         return None
     if isinstance(value, str) and "/" in value:
-        canonical = f"{angle.turns.numerator}/{angle.turns.denominator}"
+        canonical = angle_to_json(angle)
         if value.strip() != canonical:
             collector.note(f"{where}: \"{value}\" normalized to {canonical} of 2*pi")
     elif isinstance(value, str):

@@ -15,6 +15,7 @@ import oracles
 from ghzport.angles import PhaseAngle, Residue
 from ghzport.lhv import Constraint, count_satisfying
 from ghzport.multiport import bell_multiport, transmit, verify_unitarity
+from ghzport.closed import perfect_correlation_class, predict_last
 from ghzport.paradox import build_scenario, run_paradox
 from ghzport.quantum import (
     ExperimentConfig,
@@ -24,8 +25,6 @@ from ghzport.quantum import (
     correlation_brute,
     correlation_closed,
     full_distribution,
-    perfect_correlation_class,
-    predict_last,
     sample_outcomes,
 )
 

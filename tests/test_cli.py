@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghzport.cli as cli
+import ghzport.quantum as quantum
 from ghzport.angles import PhaseAngle, angle_to_json
 from ghzport.cli import main
 from ghzport.errors import ComputationIntegrityError
@@ -139,6 +140,22 @@ class TestCorrelate:
         correlation = records[1]
         assert correlation["exact_class"] == {"k": 2, "mod": 3}
         assert correlation["difference"] < 1e-10
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_exponent_overflow_names_the_exponent_not_an_angle(self, capsys, tmp_path, fmt):
+        # every phase fits 64 bits, so the table commands run; the closed-form
+        # exponent over the lcm 2 * (2**63 - 2) of the denominators does not
+        doc = {"schema": "ghzport-scenario/1", "particles": 2, "ports": 2,
+               "phases": [["1/4", "1/4"], ["1/4", "1/9223372036854775806"]]}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(capsys, "probability", str(path))[0] == 0
+        assert run_cli(capsys, "sample", str(path), "--shots", "10")[0] == 0
+        assert run_cli(capsys, "correlate", str(path), "--format", fmt) == (1, "", (
+            "ghzport: error [invalid] closed-form exponent of ports 1, 2 is "
+            "4611686018427387901/18446744073709551612 of a turn, over the lcm "
+            "18446744073709551612 of the phase denominators; it exceeds the supported "
+            "64-bit numerator/denominator range\n"))
 
 
 class TestProbability:
@@ -300,7 +317,7 @@ class TestRendering:
                     for kind, extra in (("probability", ()), ("sample", ("--shots", "3000")))
                     for fmt in ("text", "records")]
         whole = [run_cli(capsys, *argv) for argv in commands]
-        monkeypatch.setattr(cli, "_BLOCK", 7)
+        monkeypatch.setattr(quantum, "_BLOCK", 7)
         assert [run_cli(capsys, *argv) for argv in commands] == whole
 
 
@@ -519,8 +536,10 @@ class TestDispatch:
         assert gc.get_freeze_count() == frozen
         assert gc.isenabled()
         # in a child, so this process is never frozen: importing the package
-        # and calling main freeze nothing, run() freezes before main
+        # and calling main freeze nothing, ghzport.__main__.run() freezes
+        # before main
         probe = ("import atexit, gc, sys; import ghzport, ghzport.cli as cli; "
+                 "import ghzport.__main__ as entry; "
                  "assert gc.get_freeze_count() == 0; "
                  "assert gc.isenabled(); "
                  "cli.main(['multiport', '--ports', '2']); "
@@ -528,7 +547,7 @@ class TestDispatch:
                  "assert gc.isenabled(); "
                  "atexit.register(lambda: print('frozen', gc.get_freeze_count(), "
                  "file=sys.stderr)); "
-                 "sys.argv[1:] = ['multiport', '--ports', '2']; cli.run()")
+                 "sys.argv[1:] = ['multiport', '--ports', '2']; entry.run()")
         proc = run_python("-c", probe)
         assert proc.returncode == 0
         assert "M = 2 ports" in proc.stdout

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ghzport.angles import PhaseAngle, Residue
+from ghzport.closed import predict_last
 from ghzport.errors import ResourceLimitError
 from ghzport.lhv import (
     MODEL_GUARD,
@@ -21,7 +22,7 @@ from ghzport.lhv import (
     model_value,
     satisfies,
 )
-from ghzport.quantum import ExperimentConfig, PhaseSettings, joint_amplitude, predict_last
+from ghzport.quantum import ExperimentConfig, PhaseSettings, joint_amplitude
 
 
 def paradox_catalog():

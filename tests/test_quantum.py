@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ghzport.angles import TAU, PhaseAngle, Residue
+from ghzport.closed import _closed_form_exponents, perfect_correlation_class, predict_last
 from ghzport.errors import (
     ComputationIntegrityError,
     RationalOverflowError,
@@ -25,14 +26,11 @@ from ghzport.quantum import (
     _class_amplitudes,
     _class_probabilities_amplitude,
     _class_probabilities_cosine,
-    _closed_form_exponents,
     correlation_brute,
     correlation_closed,
     full_distribution,
     joint_amplitude,
     joint_probability,
-    perfect_correlation_class,
-    predict_last,
     sample_outcomes,
 )
 
@@ -616,7 +614,9 @@ class TestClosedFormOracle:
         exponents = oracles.closed_form_exponents(turns, ports)
         too_wide = [e for e in exponents if e.denominator > 2**63 - 1]
         if too_wide:
-            message = f"rational angle {too_wide[0].numerator}/{too_wide[0].denominator} "
+            m = exponents.index(too_wide[0])
+            message = (f"closed-form exponent of ports {m + 1}, {(m + 1) % ports + 1} is "
+                       f"{too_wide[0].numerator}/{too_wide[0].denominator} of a turn")
             with pytest.raises(RationalOverflowError, match=message):
                 correlation_closed(cfg, phases)
             with pytest.raises(RationalOverflowError, match=message):

@@ -25,7 +25,10 @@ Builds one command set:
   - correlate, in both formats, on a scenario whose ``constraints.require``
     holds one valid entry and three invalid ones, so that its ``[scenario]``
     errors come from the constraint parser and ``ghzport.lhv``, which
-    loads only for a constraints block.
+    loads only for a constraints block;
+  - correlate, in both formats, on a two-station scenario whose exact
+    phases each fit 64 bits while a closed-form exponent over their lcm
+    does not, so that it exits with an ``[invalid]`` overflow error.
 Commands that occur twice run once.
 
 Then it starts one child per tree, with that tree's ``src`` first on
@@ -101,6 +104,9 @@ CATALOGS = (
 #: A constraints.require with one valid entry and then a short pattern, a
 #: setting index past the catalog and a class that is not an integer.
 BAD_REQUIRE = [((1, 1), 1), ((1,), 0), ((1, 2), 0), ((1, 1), "2")]
+#: Exact phases, each within 64 bits, whose closed-form exponent of ports 1, 2
+#: is 4611686018427387901/18446744073709551612 of a turn: past 64 bits.
+WIDE_EXPONENT = [["1/4", "1/4"], ["1/4", "1/9223372036854775806"]]
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ s")
 
 
@@ -173,6 +179,10 @@ def command_set(tree: Path, inputs: Path) -> list:
         commands.extend(_both_formats(("lhv-search", path)))
     path = _catalog_scenario(inputs / "bad-require.json", 3, (1, 1), BAD_REQUIRE)
     commands.extend(_both_formats(("correlate", path)))
+    path = inputs / "wide-exponent.json"
+    path.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": 2, "ports": 2,
+                                "phases": WIDE_EXPONENT}), encoding="utf-8")
+    commands.extend(_both_formats(("correlate", str(path))))
     commands.extend(list(argv) for argv in EXTRA)
     unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
     return list(unique.values())
