@@ -1,8 +1,10 @@
 """Exact and floating arithmetic for phases, residues and roots of unity.
 
 Angles that are rational multiples of a full turn are tracked exactly as a
-`Fraction` (in units of 2*pi) alongside their floating radian value, and
-arithmetic keeps the exact track alive whenever both operands carry it.
+reduced integer pair p/q of a turn (in units of 2*pi) alongside their floating
+radian value, and arithmetic keeps the exact track alive whenever both
+operands carry it. "p/q" strings are read with the grammar of
+``fractions.Fraction`` but on plain ints, so no command imports ``fractions``.
 Detector labels and correlation classes are residues modulo the port count M;
 a residue k stands for the unit complex number exp(2*pi*i*k/M), the value
 ascribed to a click behind output port k (0-based internally).
@@ -13,8 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .errors import RationalOverflowError
 
@@ -29,14 +30,16 @@ _INT64_MAX = 2**63 - 1
 _BELOW_TAU = math.nextafter(TAU, 0.0)
 
 
-def _checked(fraction: Fraction) -> Fraction:
-    """Reject rationals outside the supported 64-bit range."""
-    if abs(fraction.numerator) > _INT64_MAX or fraction.denominator > _INT64_MAX:
-        raise RationalOverflowError(
-            f"rational angle {fraction.numerator}/{fraction.denominator} exceeds "
-            "the supported 64-bit numerator/denominator range"
-        )
-    return fraction
+def _ratio(text: str) -> Tuple[int, int]:
+    """The integers p, q of a "p/q" string, unreduced (q may be 0), read as
+    ``Fraction(str)`` reads it: surrounding whitespace, a sign, and decimal
+    digits of any script with single ``_`` between them; nothing beside the
+    ``/``. ``int()`` reads each side's sign, digits and ``_`` that way, so
+    only the characters beside the ``/`` need a check."""
+    numerator, _, denominator = text.strip().partition("/")
+    if not (numerator[-1:].isdecimal() and denominator[:1].isdecimal()):
+        raise ValueError(f"invalid rational literal: {text!r}")
+    return int(numerator), int(denominator)
 
 
 def _wrap_radians(value: float) -> float:
@@ -150,24 +153,33 @@ class Residue(_Record):
 class PhaseAngle(_Record):
     """A phase-shifter setting in [0, 2*pi).
 
-    ``turns``, when present, is the exact angle as a reduced fraction of a
-    full turn in [0, 1); ``radians`` is always present and, on the exact
-    track, is derived from ``turns`` so the two views never drift apart.
+    ``numerator`` and ``denominator``, when present, are the exact angle as a
+    reduced fraction p/q of a full turn, 0 <= p < q <= 2**63 - 1; both are
+    None on the floating track. ``radians`` is always present and, on the
+    exact track, is derived from the pair so the two views never drift apart.
     Angles coming from plain numbers live only on the floating track.
     """
 
-    _fields = ("radians", "turns")
+    _fields = ("radians", "numerator", "denominator")
 
-    def __init__(self, radians: float, turns: Optional[Fraction] = None):
+    def __init__(self, radians: float, numerator: Optional[int] = None,
+                 denominator: Optional[int] = None):
         if not (0.0 <= radians < TAU):
             raise ValueError(f"radians must lie in [0, 2*pi), got {radians!r}")
-        if turns is not None:
-            _checked(turns)
-            if not 0 <= turns.numerator < turns.denominator:
-                raise ValueError(f"turns must lie in [0, 1), got {turns}")
-            if abs(radians - TAU * float(turns)) >= 1e-12:
-                raise ValueError(f"radians {radians} inconsistent with {turns} of a turn")
-        self.__dict__.update(radians=radians, turns=turns)
+        if numerator is not None or denominator is not None:  # exact: both needed
+            if not (isinstance(denominator, int) and 0 < denominator <= _INT64_MAX):
+                raise ValueError(f"denominator must be an integer in 1..2**63-1, "
+                                 f"got {denominator!r}")
+            if not (isinstance(numerator, int) and 0 <= numerator < denominator):
+                raise ValueError(f"numerator must be an integer in 0..{denominator - 1}, "
+                                 f"got {numerator!r}")
+            if math.gcd(numerator, denominator) != 1:
+                raise ValueError(f"numerator and denominator {numerator}/{denominator} "
+                                 "are not reduced")
+            if abs(radians - TAU * (numerator / denominator)) >= 1e-12:
+                raise ValueError(f"radians {radians} inconsistent with "
+                                 f"{numerator}/{denominator} of a turn")
+        self.__dict__.update(radians=radians, numerator=numerator, denominator=denominator)
 
     @classmethod
     def from_radians(cls, radians: float) -> "PhaseAngle":
@@ -175,32 +187,62 @@ class PhaseAngle(_Record):
         return cls(_wrap_radians(float(radians)))
 
     @classmethod
-    def from_turns(cls, turns: Union[Fraction, int, str]) -> "PhaseAngle":
-        """Exact angle 2*pi*(p/q), normalized into one turn and reduced."""
-        canonical = _checked(Fraction(turns) % 1)
-        return cls(_turns_radians(canonical.numerator, canonical.denominator), canonical)
+    def from_ratio(cls, numerator: int, denominator: int) -> "PhaseAngle":
+        """Exact angle 2*pi*(p/q) for integers p and q > 0, reduced and wrapped
+        into one turn; the reduced q must fit 64 bits."""
+        if denominator == 0:
+            raise ZeroDivisionError(f"rational {numerator}/0 has a zero denominator")
+        common = math.gcd(numerator, denominator)
+        denominator //= common
+        numerator = numerator // common % denominator
+        if denominator > _INT64_MAX:  # the wrapped numerator is smaller still
+            raise RationalOverflowError(f"rational angle {numerator}/{denominator} exceeds "
+                                        "the supported 64-bit numerator/denominator range")
+        return cls(_turns_radians(numerator, denominator), numerator, denominator)
+
+    @classmethod
+    def from_turns(cls, turns: Union[numbers.Rational, str]) -> "PhaseAngle":
+        """Exact angle 2*pi*t for a rational t (a ``Fraction`` or an int) or a
+        "p/q" string, normalized into one turn and reduced."""
+        if isinstance(turns, str):
+            return cls.from_ratio(*_ratio(turns))
+        if not isinstance(turns, numbers.Rational):
+            raise TypeError(f"turns must be a rational number or a \"p/q\" string, got {turns!r}")
+        return cls.from_ratio(int(turns.numerator), int(turns.denominator))
 
     @classmethod
     def parse(cls, value: Union[str, float, int]) -> "PhaseAngle":
         """Accept a number of radians or a string "p/q" meaning 2*pi*p/q."""
         if isinstance(value, str) and "/" in value:
-            return cls.from_turns(value.strip())
+            return cls.from_ratio(*_ratio(value))
         return cls.from_radians(float(value))
 
     @property
     def is_exact(self) -> bool:
-        return self.turns is not None
+        return self.denominator is not None
+
+    @property
+    def turns(self):
+        """The exact angle as a ``fractions.Fraction`` of a turn, or None on
+        the floating track; built when read, and read by no command."""
+        if self.denominator is None:
+            return None
+        from fractions import Fraction  # the package's one use of fractions
+
+        return Fraction(self.numerator, self.denominator)
 
     def __add__(self, other: "PhaseAngle") -> "PhaseAngle":
         if not isinstance(other, PhaseAngle):
             return NotImplemented
-        if self.turns is not None and other.turns is not None:
-            return PhaseAngle.from_turns(self.turns + other.turns)
+        if self.denominator is not None and other.denominator is not None:
+            return PhaseAngle.from_ratio(
+                self.numerator * other.denominator + other.numerator * self.denominator,
+                self.denominator * other.denominator)
         return PhaseAngle.from_radians(self.radians + other.radians)
 
     def __neg__(self) -> "PhaseAngle":
-        if self.turns is not None:
-            return PhaseAngle.from_turns(-self.turns)
+        if self.denominator is not None:
+            return PhaseAngle.from_ratio(-self.numerator, self.denominator)
         return PhaseAngle.from_radians(-self.radians)
 
     def __sub__(self, other: "PhaseAngle") -> "PhaseAngle":
@@ -216,11 +258,9 @@ class PhaseAngle(_Record):
         """
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if self.turns is not None:
-            scaled = self.turns * modulus
-            if scaled.denominator == 1:
-                return Residue(scaled.numerator, modulus)
-            return None
+        if self.denominator is not None:
+            k, remainder = divmod(self.numerator * modulus, self.denominator)
+            return Residue(k, modulus) if remainder == 0 else None
         step = TAU / modulus
         nearest = round(self.radians / step)
         if abs(self.radians - nearest * step) <= tol:
@@ -230,13 +270,13 @@ class PhaseAngle(_Record):
     def describe(self) -> str:
         """Radians to 12 significant digits, plus the exact form when present."""
         text = f"{self.radians:.12g}"
-        if self.turns is not None:
-            text += f" ({self.turns.numerator}/{self.turns.denominator} of 2*pi)"
+        if self.denominator is not None:
+            text += f" ({self.numerator}/{self.denominator} of 2*pi)"
         return text
 
 
 def angle_to_json(angle: PhaseAngle):
     """Canonical file form: "p/q" when exact, a float of radians otherwise."""
-    if angle.turns is not None:
-        return f"{angle.turns.numerator}/{angle.turns.denominator}"
+    if angle.denominator is not None:
+        return f"{angle.numerator}/{angle.denominator}"
     return angle.radians

@@ -1,12 +1,13 @@
 """The closed-form track: the Bell-number correlation without an outcome table.
 
-Holds the experiment geometry, the phase-settings table and the closed
-O(N*M) correlation (1/M) sum_m exp(i sum_l phi_l^(m,m+1)): exact, as integer
-exponents over a common denominator, when every phase carries a rational
-part, and on floats otherwise. Perfect-correlation detection and the
-prediction of the last outcome from the other N-1 build on it. The paper's
-paradoxes are settled here and in ``ghzport.lhv`` alone; the outcome table,
-its two probability routes and sampling live in ``ghzport.quantum``.
+Holds the experiment geometry, the phase-settings table, the M-th roots of
+unity and the closed O(N*M) correlation (1/M) sum_m exp(i sum_l
+phi_l^(m,m+1)): exact, as integer exponents over a common denominator, when
+every phase carries a rational part, and on floats otherwise.
+Perfect-correlation detection and the prediction of the last outcome from
+the other N-1 build on it. The paper's paradoxes are settled here and in
+``ghzport.lhv`` alone; the outcome table, its two probability routes and
+sampling live in ``ghzport.quantum``.
 
 Detector indices are 0-based throughout this module; the command-line layer
 re-exposes 1-based port labels.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +50,12 @@ class ExperimentConfig(_Record):
     @property
     def outcome_count(self) -> int:
         return self.ports**self.particles
+
+
+def unit_roots(modulus: int) -> np.ndarray:
+    """All M complex M-th roots of unity, index j holding exp(2*pi*i*j/M),
+    bit for bit ``root_of_unity(j, M)``: the same operations in the same order."""
+    return np.exp(1j * (2 * math.pi * np.arange(modulus) / modulus))
 
 
 def _distinct(rows) -> list:
@@ -138,30 +144,33 @@ def _closed_form_exponents(settings: PhaseSettings):
     ``(numerators, D)``: exponent m is numerators[m]/D of a turn in [0, 1),
     over the lcm D of the phase denominators, taken from the column sums S_m
     as (S_m - S_(m+1)) mod D. One pass over each distinct row object reads
-    its entries' integer ratios, which are scaled to D and multiplied by the
+    its entries' integer pairs, which are scaled to D and multiplied by the
     number of stations that hold the row; S_m adds one such integer vector
-    per distinct row, which is exactly the sum over all N stations. The first
-    entry with no exact part turns to ``(phases, None)``: the M unit phases
-    exp(i * exponent) on the floating track.
+    per distinct row, which is exactly the sum over all N stations. A table
+    with an entry that has no exact part gives ``(phases, None)``: the M unit
+    phases exp(i * exponent) on the floating track.
     """
-    ratios = []
-    for row, held in _distinct(settings.rows):
-        try:
-            ratios.append(([a.turns.as_integer_ratio() for a in row], held))
-        except AttributeError:  # turns is None: a float entry
-            phi = settings.float_matrix()
-            deltas = phi - np.roll(phi, -1, axis=1)
-            return np.exp(1j * deltas.sum(axis=0)), None
-    denominator = math.lcm(*{q for row, _ in ratios for _, q in row})
+    distinct = _distinct(settings.rows)
+    # a float entry's denominator is None; a float row shows it in its first
+    # entry, and such a row is not read further
+    ratios = [([(a.numerator, a.denominator) for a in row], held)
+              for row, held in distinct if row[0].denominator is not None]
+    denominators = {q for row, _ in ratios for _, q in row}
+    if len(ratios) < len(distinct) or None in denominators:
+        phi = settings.float_matrix()
+        deltas = phi - np.roll(phi, -1, axis=1)
+        return np.exp(1j * deltas.sum(axis=0)), None
+    denominator = math.lcm(*denominators)
     scaled = [[held * p * (denominator // q) for p, q in row] for row, held in ratios]
     sums = [sum(column) for column in zip(*scaled)]
     numerators = [(s - t) % denominator for s, t in zip(sums, sums[1:] + sums[:1])]
     if denominator > _INT64_MAX:  # only then can a reduced exponent leave the range
-        for m, exponent in enumerate(Fraction(e, denominator) for e in numerators):
-            if exponent.denominator > _INT64_MAX:  # in [0, 1): the numerator is smaller
+        for m, e in enumerate(numerators):
+            common = math.gcd(e, denominator)
+            if denominator // common > _INT64_MAX:  # in [0, 1): the numerator is smaller
                 raise RationalOverflowError(
                     f"closed-form exponent of ports {m + 1}, {(m + 1) % len(numerators) + 1} is "
-                    f"{exponent.numerator}/{exponent.denominator} of a turn, over the lcm "
+                    f"{e // common}/{denominator // common} of a turn, over the lcm "
                     f"{denominator} of the phase denominators; it exceeds the supported 64-bit "
                     "numerator/denominator range")
     return numerators, denominator

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .angles import _Record
+from .closed import unit_roots
 
 #: Largest supported port count; paradox scenarios need M = N-1 only.
 MAX_PORTS = 64
@@ -28,12 +29,6 @@ class MultiportMatrix(_Record):
             raise ValueError(f"entries must be {ports}x{ports}, got {entries.shape}")
         entries.setflags(write=False)
         self.__dict__.update(ports=ports, entries=entries)
-
-
-def unit_roots(modulus: int) -> np.ndarray:
-    """All M complex M-th roots of unity, index j holding exp(2*pi*i*j/M),
-    bit for bit ``root_of_unity(j, M)``: the same operations in the same order."""
-    return np.exp(1j * (2 * math.pi * np.arange(modulus) / modulus))
 
 
 def bell_multiport(ports: int) -> MultiportMatrix:

@@ -12,7 +12,6 @@ the all-reference pattern as well, which is the contradiction.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .angles import PhaseAngle, Residue, _Record
@@ -79,11 +78,9 @@ def build_scenario(particles: int) -> ParadoxScenario:
         raise ValueError(f"particles capped at {MAX_PARTICLES}, got {particles}")
     ports = particles - 1
     denominator = (particles - 1) ** 2
-    delta = PhaseAngle.from_turns(Fraction(1, denominator))
-    graded = tuple(
-        PhaseAngle.from_turns(Fraction(j, denominator)) for j in range(ports)
-    )
-    reference = tuple(PhaseAngle.from_turns(0) for _ in range(ports))
+    delta = PhaseAngle.from_ratio(1, denominator)
+    graded = tuple(PhaseAngle.from_ratio(j, denominator) for j in range(ports))
+    reference = (PhaseAngle.from_ratio(0, 1),) * ports
     catalog = SettingsCatalog(
         ports, tuple((graded, reference) for _ in range(particles))
     )

@@ -21,10 +21,9 @@ from typing import Iterator, Sequence, Tuple
 import numpy as np
 
 from .angles import PROBABILITY_TOLERANCE, _is_index, _Record
-from .closed import CorrelationValue, ExperimentConfig, PhaseSettings, _check_settings
+from .closed import CorrelationValue, ExperimentConfig, PhaseSettings, _check_settings, unit_roots
 from .closed import correlation_closed  # noqa: F401  read here by perfbench/layers.py
 from .errors import ComputationIntegrityError, ResourceLimitError
-from .multiport import unit_roots
 
 #: Outcome-table guard: the table operations (the distribution and what
 #: builds on it) refuse beyond this many outcomes; the closed form has none.

@@ -1,12 +1,13 @@
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzport.angles import TAU, PhaseAngle, Residue, root_of_unity
+from ghzport.angles import TAU, PhaseAngle, Residue, _turns_radians, root_of_unity
 from ghzport.errors import RationalOverflowError
 
 
@@ -111,6 +112,115 @@ class TestPhaseAngle:
         assert 0 <= angle.turns < 1
         assert 0.0 <= angle.radians < TAU
         assert abs(angle.radians - TAU * float(angle.turns)) < 1e-12
+
+
+def fraction_oracle(make):
+    """What ``Fraction`` makes of a phase: the reduced pair of ``make() % 1``
+    and its radians, or the type of the exception it raises, with the 64-bit
+    bound on the reduced denominator added."""
+    try:
+        turns = make() % 1
+    except Exception as exc:  # noqa: BLE001  the type is the answer
+        return type(exc)
+    if turns.denominator > 2**63 - 1:
+        return RationalOverflowError
+    p, q = turns.numerator, turns.denominator
+    return p, q, _turns_radians(p, q)
+
+
+def pair_of(make):
+    """What ghzport makes of a phase: its pair and radians, or the type of the
+    exception it raises."""
+    try:
+        angle = make()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc)
+    return angle.numerator, angle.denominator, angle.radians
+
+
+SCRIPTS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+SPACES = ("", "", " ", "\t", "\n", "\x1c", "\x85", "\u3000", " \u2003 ")
+
+
+@st.composite
+def digit_runs(draw):
+    """Decimal digits in some script, with separators cut in: mostly single
+    ``_`` (valid), sometimes ``__``, a space or a stray edge ``_``."""
+    value = draw(st.one_of(st.just(0), st.integers(0, 999), st.integers(2**63 - 3, 2**63 + 3),
+                           st.integers(0, 2**66)))
+    text = str(value).translate(str.maketrans("0123456789", draw(st.sampled_from(SCRIPTS))))
+    cuts = draw(st.sets(st.integers(1, len(text) - 1), max_size=3)) if len(text) > 1 else ()
+    separator = draw(st.sampled_from(("_", "_", "_", "__", " ")))
+    for cut in sorted(cuts, reverse=True):
+        text = text[:cut] + separator + text[cut:]
+    edge = draw(st.sampled_from(("", "", "", "_")))
+    return draw(st.sampled_from((edge + text, text + edge)))
+
+
+RATIO_TEXT = st.builds(
+    lambda *parts: "".join(parts), st.sampled_from(SPACES), st.sampled_from(("", "-", "+")),
+    digit_runs(), st.sampled_from(("/", "/", "/", " /", "/ ", "\t/", "/-", "/+", "-/", "//")),
+    digit_runs(), st.sampled_from(SPACES))
+
+
+class TestFractionGrammar:
+    """Exact phases are read on ints with Python 3.11's ``Fraction(str)``
+    grammar, on every interpreter; ``fractions.Fraction`` is the oracle where
+    it reads that grammar (3.10's refuses ``_``, 3.12's allows whitespace
+    beside the ``/``)."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("3/9", (1, 3)), ("-1/9", (8, 9)), ("+1/9", (1, 9)), ("1_0/30", (1, 3)),
+        (" 1/3 ", (1, 3)), ("\u0661/\u0663", (1, 3)), ("9223372036854775808/3", (2, 3)),
+        ("1 /3", ValueError), ("1/-3", ValueError), ("1/0", ZeroDivisionError),
+        ("1/9223372036854775808", RationalOverflowError)])
+    def test_spellings(self, text, expected):
+        got = pair_of(lambda: PhaseAngle.parse(text))
+        assert (got if isinstance(got, type) else got[:2]) == expected
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="this interpreter's Fraction reads another grammar")
+    @settings(max_examples=500, deadline=None)
+    @given(RATIO_TEXT)
+    @example("1 /3")
+    @example("1_0/3")
+    @example("1/-3")
+    @example(" +3/9 ")
+    @example("\u0661/\u0663")
+    @example("1/0")
+    @example("9223372036854775808/3")
+    @example("1/9223372036854775808")
+    def test_parse_reads_what_fraction_reads(self, text):
+        expected = fraction_oracle(lambda: Fraction(text))
+        assert pair_of(lambda: PhaseAngle.parse(text)) == expected
+        assert pair_of(lambda: PhaseAngle.from_turns(text)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.integers(-2**70, 2**70),
+        st.fractions(min_value=-5, max_value=5, max_denominator=10**12),
+        st.builds(Fraction, st.integers(-2**66, 2**66), st.integers(2**63 - 3, 2**63 + 3)),
+        st.builds(Fraction, st.integers(-2**66, 2**66), st.integers(1, 2**66))))
+    def test_from_turns_matches_fraction_on_numbers(self, turns):
+        assert pair_of(lambda: PhaseAngle.from_turns(turns)) == fraction_oracle(
+            lambda: Fraction(turns))
+
+    def test_the_pair_is_checked_and_the_field_named(self):
+        with pytest.raises(ValueError, match="denominator must be an integer"):
+            PhaseAngle(0.0, 0)
+        with pytest.raises(ValueError, match="numerator must be an integer"):
+            PhaseAngle(0.0, None, 3)
+        with pytest.raises(ValueError, match="denominator must be an integer"):
+            PhaseAngle(0.0, 0, 2**63)
+        with pytest.raises(ValueError, match="numerator must be an integer"):
+            PhaseAngle(0.0, 9, 9)
+        with pytest.raises(ValueError, match="not reduced"):
+            PhaseAngle(TAU / 3, 3, 9)
+        with pytest.raises(ValueError, match="inconsistent"):
+            PhaseAngle(0.5, 1, 9)
+        assert PhaseAngle(TAU / 3, 1, 3) == PhaseAngle.from_turns(Fraction(1, 3))
 
 
 def test_root_of_unity_matches_cmath():

@@ -64,21 +64,24 @@ def test_from_import_still_imports_submodules():
 
 
 BUNDLED = os.path.join(SRC, "ghzport", "scenarios", "ghz-n4-m3.json")
-LAZY = ("ghzport.scenario", "ghzport.paradox", "ghzport.text", "ghzport.lhv",
-        "ghzport.multiport", "ghzport.quantum", "ghzport.closed", "numpy")
+#: Exact phases are integer pairs, so no command imports these.
+NO_FRACTIONS = {"fractions", "decimal"}
+WATCHED = ("ghzport.scenario", "ghzport.paradox", "ghzport.text", "ghzport.lhv",
+           "ghzport.multiport", "ghzport.quantum", "ghzport.closed", "numpy", *NO_FRACTIONS)
 
 
 def loaded_by(*argv):
-    """The LAZY modules that one ``python -m ghzport`` run loads, run through
-    runpy in a fresh interpreter; the run must exit 0. ``ghzport.closed`` and
-    numpy load with the command line, so every run lists them."""
+    """The WATCHED modules that one ``python -m ghzport`` run loads, run
+    through runpy in a fresh interpreter; the run must exit 0.
+    ``ghzport.closed`` and numpy load with the command line, so every run
+    lists them."""
     out = run_fresh(textwrap.dedent(f"""
         import json, runpy, sys
         sys.argv[1:] = {list(argv)!r}
         try:
             runpy.run_module("ghzport", run_name="__main__")
         except SystemExit as exc:
-            print(json.dumps([exc.code, [m for m in {LAZY!r} if m in sys.modules]]))
+            print(json.dumps([exc.code, [m for m in {WATCHED!r} if m in sys.modules]]))
     """))
     code, loaded = json.loads(out.splitlines()[-1])
     assert code == 0
@@ -87,25 +90,29 @@ def loaded_by(*argv):
 
 def test_paradox_records_load_neither_the_schema_nor_the_text_renderers():
     assert loaded_by("paradox", "--N", "4", "--format", "records").isdisjoint(
-        {"ghzport.scenario", "ghzport.text"})
+        {"ghzport.scenario", "ghzport.text", *NO_FRACTIONS})
 
 
 def test_lhv_search_records_load_neither_paradox_nor_the_text_renderers():
     loaded = loaded_by("lhv-search", BUNDLED, "--format", "records")
     assert "ghzport.scenario" in loaded
-    assert loaded.isdisjoint({"ghzport.paradox", "ghzport.text"})
+    assert loaded.isdisjoint({"ghzport.paradox", "ghzport.text", *NO_FRACTIONS})
 
 
-@pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["correlate", BUNDLED]])
+@pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["correlate", BUNDLED],
+                                  ["lhv-search", BUNDLED], ["sample", BUNDLED, "--shots", "10"],
+                                  ["probability", BUNDLED], ["multiport", "--ports", "3"]])
 def test_text_format_loads_the_text_renderers(argv):
-    assert "ghzport.text" in loaded_by(*argv, "--format", "text")
+    loaded = loaded_by(*argv, "--format", "text")
+    assert "ghzport.text" in loaded
+    assert loaded.isdisjoint(NO_FRACTIONS)
 
 
 @pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["lhv-search", BUNDLED]])
 def test_exact_track_loads_no_outcome_table_code(argv):
     loaded = loaded_by(*argv, "--format", "records")
     assert {"ghzport.closed", "ghzport.lhv"} <= loaded
-    assert loaded.isdisjoint({"ghzport.quantum", "ghzport.multiport"})
+    assert loaded.isdisjoint({"ghzport.quantum", "ghzport.multiport", *NO_FRACTIONS})
 
 
 @pytest.fixture(scope="module")
@@ -122,17 +129,27 @@ def float_table(tmp_path_factory):
 def test_table_commands_without_constraints_load_no_lhv(float_table, command):
     loaded = loaded_by(command[0], float_table, *command[1:], "--format", "records")
     assert {"ghzport.scenario", "ghzport.quantum"} <= loaded
-    assert loaded.isdisjoint({"ghzport.lhv", "ghzport.paradox"})
+    # unit_roots lives in ghzport.closed, so no table command loads multiport
+    assert loaded.isdisjoint({"ghzport.lhv", "ghzport.paradox", "ghzport.multiport",
+                              *NO_FRACTIONS})
 
 
 def test_a_constraints_block_loads_lhv():
-    assert "ghzport.lhv" in loaded_by("correlate", BUNDLED, "--format", "records")
+    loaded = loaded_by("correlate", BUNDLED, "--format", "records")
+    assert "ghzport.lhv" in loaded
+    assert loaded.isdisjoint(NO_FRACTIONS)
 
 
 def test_multiport_loads_neither_the_schema_nor_lhv_nor_the_table_layer():
     loaded = loaded_by("multiport", "--ports", "3", "--format", "records")
     assert "ghzport.multiport" in loaded
-    assert loaded.isdisjoint({"ghzport.scenario", "ghzport.lhv", "ghzport.quantum"})
+    assert loaded.isdisjoint({"ghzport.scenario", "ghzport.lhv", "ghzport.quantum",
+                              *NO_FRACTIONS})
+
+
+@pytest.mark.parametrize("argv", [["examples"], ["examples", "--name", "ghz-n4-m3"]])
+def test_examples_load_no_scenario_code(argv):
+    assert loaded_by(*argv).isdisjoint({"ghzport.scenario", "ghzport.lhv", *NO_FRACTIONS})
 
 
 def test_closed_form_names_do_not_load_the_table_layer():

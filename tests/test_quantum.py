@@ -12,14 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ghzport import quantum
 from ghzport.angles import TAU, PhaseAngle, Residue
-from ghzport.closed import _closed_form_exponents, perfect_correlation_class, predict_last
+from ghzport.closed import (
+    _closed_form_exponents,
+    perfect_correlation_class,
+    predict_last,
+    unit_roots,
+)
 from ghzport.errors import (
     ComputationIntegrityError,
     RationalOverflowError,
     ResourceLimitError,
 )
-from ghzport.multiport import unit_roots
 from ghzport.quantum import (
     ExperimentConfig,
     PhaseSettings,
@@ -761,9 +766,14 @@ class TestOutcomeCounts:
     """SampleResult.counts, a mapping view over arrays, against the dict of
     tuples rebuilt from the raw draws."""
 
-    @pytest.mark.parametrize("particles, ports, seed", [(1, 6, 3), (2, 12, 4), (3, 4, 5),
-                                                        (5, 3, 6), (20, 2, 7)])
-    def test_matches_the_raw_draws(self, particles, ports, seed):
+    @pytest.mark.parametrize("particles, ports, seed, block", [
+        *(pytest.param(*case, None, id="-".join(map(str, case)))
+          for case in [(1, 6, 3), (2, 12, 4), (3, 4, 5), (5, 3, 6), (20, 2, 7)]),
+        # blocks of 7 draws and 7 outcomes: iteration crosses hundreds of blocks
+        pytest.param(20, 2, 7, 7, id="20-2-7-block7")])
+    def test_matches_the_raw_draws(self, monkeypatch, particles, ports, seed, block):
+        if block is not None:
+            monkeypatch.setattr(quantum, "_BLOCK", block)
         cfg = ExperimentConfig(particles, ports)
         settings = random_settings(np.random.default_rng(seed), particles, ports)
         result = sample_outcomes(cfg, settings, 3000, seed)

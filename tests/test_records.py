@@ -4,6 +4,7 @@ classes replaced had it (the expected values were captured from them)."""
 
 import copy
 import inspect
+import math
 import os
 import pickle
 import subprocess
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ghzport.angles import PhaseAngle, Residue
+from ghzport.angles import TAU, PhaseAngle, Residue
 from ghzport.lhv import (
     Constraint,
     CountResult,
@@ -28,9 +29,9 @@ from ghzport.scenario import SamplingSpec, Scenario
 
 EMPTY = inspect.Parameter.empty
 
-NINTH = "PhaseAngle(radians=0.6981317007977318, turns=Fraction(1, 9))"
-HALF = "PhaseAngle(radians=0.5, turns=None)"
-ZERO = "PhaseAngle(radians=0.0, turns=Fraction(0, 1))"
+NINTH = "PhaseAngle(radians=0.6981317007977318, numerator=1, denominator=9)"
+HALF = "PhaseAngle(radians=0.5, numerator=None, denominator=None)"
+ZERO = "PhaseAngle(radians=0.0, numerator=0, denominator=1)"
 ROWS = f"(({NINTH}, {HALF}), ({HALF}, {NINTH}))"
 CATALOG = f"SettingsCatalog(ports=2, station_settings=((({ZERO}, {NINTH}),),))"
 MODEL = "DeterministicModel(ports=2, assignments=((1,), (0, 1)))"
@@ -71,7 +72,8 @@ def paradox():
 #: Each build returns a fresh, equal object.
 EXAMPLES = {
     Residue: (lambda: Residue(4, 3), "Residue(value=1, modulus=3)", ("value", 2)),
-    PhaseAngle: (ninth, NINTH, ("turns", None)),
+    # the exact pair cannot change alone, so the radians move within 1e-12 of it
+    PhaseAngle: (ninth, NINTH, ("radians", math.nextafter(TAU / 9, 1.0))),
     SettingsCatalog: (catalog, CATALOG, ("station_settings", (((ninth(), ninth()),),))),
     DeterministicModel: (model, MODEL, ("assignments", ((0,), (0, 1)))),
     Constraint: (lambda: Constraint((0, 1), Residue(1, 2)),
@@ -122,7 +124,7 @@ EXAMPLES = {
 
 SIGNATURES = {
     Residue: [("value", EMPTY), ("modulus", EMPTY)],
-    PhaseAngle: [("radians", EMPTY), ("turns", None)],
+    PhaseAngle: [("radians", EMPTY), ("numerator", None), ("denominator", None)],
     SettingsCatalog: [("ports", EMPTY), ("station_settings", EMPTY)],
     DeterministicModel: [("ports", EMPTY), ("assignments", EMPTY)],
     Constraint: [("pattern", EMPTY), ("required", EMPTY)],

@@ -28,7 +28,13 @@ Builds one command set:
     loads only for a constraints block;
   - correlate, in both formats, on a two-station scenario whose exact
     phases each fit 64 bits while a closed-form exponent over their lcm
-    does not, so that it exits with an ``[invalid]`` overflow error.
+    does not, so that it exits with an ``[invalid]`` overflow error;
+  - correlate and lhv-search, in both formats, on one scenario per "p/q"
+    spelling in ``GRAMMAR`` (an unreduced or signed ratio, ``_``
+    separators, surrounding whitespace, non-ASCII digits, whitespace or a
+    sign beside the ``/``, a zero denominator, and 2^63 on either side),
+    held in its phases and its catalog settings, so that the parse notes
+    and ``[scenario]`` errors of each spelling are compared.
 Commands that occur twice run once.
 
 Then it starts one child per tree, with that tree's ``src`` first on
@@ -107,6 +113,10 @@ BAD_REQUIRE = [((1, 1), 1), ((1,), 0), ((1, 2), 0), ((1, 1), "2")]
 #: Exact phases, each within 64 bits, whose closed-form exponent of ports 1, 2
 #: is 4611686018427387901/18446744073709551612 of a turn: past 64 bits.
 WIDE_EXPONENT = [["1/4", "1/4"], ["1/4", "1/9223372036854775806"]]
+#: "p/q" spellings that ``Fraction(str)`` reads or rejects; each gets a
+#: scenario file written by ``_grammar_scenario``.
+GRAMMAR = ("3/9", "-1/9", "+1/9", "1_0/30", " 1/3 ", "\u0661/\u0663", "1 /3", "1/-3", "1/0",
+           "9223372036854775808/3", "1/9223372036854775808")
 WALL_CLOCK = re.compile(r"wall clock: [0-9.]+ s")
 
 
@@ -147,6 +157,18 @@ def _catalog_scenario(path: Path, ports: int, counts, require) -> str:
     return str(path)
 
 
+def _grammar_scenario(path: Path, entry: str) -> str:
+    """Two stations at M = 2 with ``entry`` among the phases and among the
+    settings of a one-constraint catalog."""
+    path.write_text(json.dumps({
+        "schema": "ghzport-scenario/1", "particles": 2, "ports": 2,
+        "phases": [[entry, "0/1"], ["0/1", entry]],
+        "constraints": {"settings": [[[entry, "0/1"], ["0/1", "0/1"]], [["0/1", entry]]],
+                        "require": [{"pattern": [1, 1], "class": 0}]},
+    }), encoding="utf-8")
+    return str(path)
+
+
 def command_set(tree: Path, inputs: Path) -> list:
     """Every argv to compare; relative scenario paths resolve in each tree."""
     workloads = _load_workloads(tree)
@@ -183,6 +205,10 @@ def command_set(tree: Path, inputs: Path) -> list:
     path.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": 2, "ports": 2,
                                 "phases": WIDE_EXPONENT}), encoding="utf-8")
     commands.extend(_both_formats(("correlate", str(path))))
+    for index, entry in enumerate(GRAMMAR):
+        path = _grammar_scenario(inputs / f"grammar-{index}.json", entry)
+        for kind in ("correlate", "lhv-search"):
+            commands.extend(_both_formats((kind, path)))
     commands.extend(list(argv) for argv in EXTRA)
     unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
     return list(unique.values())
