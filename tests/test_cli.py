@@ -5,11 +5,13 @@ import subprocess
 import sys
 import textwrap
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghzport.__main__ as entry
 import ghzport.cli as cli
 import ghzport.quantum as quantum
 from ghzport.angles import PhaseAngle, angle_to_json
@@ -558,22 +560,21 @@ class TestDispatch:
         # gc.collect() first, so that allocations made before ghzport is
         # reached cannot trigger a collection on their own
         probe = textwrap.dedent("""
-            import gc, runpy, sys
+            import atexit, gc, runpy, sys
             gc.collect()
             starts = []
             gc.callbacks.append(lambda phase, info: phase == "start"
                                 and starts.append(gc.get_freeze_count()))
+            # the run ends the process, so a handler registered first reports
+            atexit.register(lambda: print("enabled", gc.isenabled(), "unfrozen",
+                                          starts.count(0), file=sys.stderr))
             sys.argv[1:] = ["multiport", "--ports", "2"]
-            try:
-                runpy.run_module("ghzport", run_name="__main__")
-            except SystemExit as exc:
-                print("exit", exc.code, "enabled", gc.isenabled(),
-                      "unfrozen", starts.count(0), file=sys.stderr)
+            runpy.run_module("ghzport", run_name="__main__")
         """)
         proc = run_python("-c", probe)
         assert proc.returncode == 0
         assert "M = 2 ports" in proc.stdout
-        assert proc.stderr.splitlines()[-1] == "exit 0 enabled True unfrozen 0"
+        assert proc.stderr.splitlines()[-1] == "enabled True unfrozen 0"
 
     def test_main_writes_only_to_the_current_sys_stdout(self):
         # Every subcommand, in both formats, on every bundled scenario, run
@@ -623,6 +624,119 @@ class TestDispatch:
         assert proc.returncode == 0
         with open(os.path.join(GOLDEN, f"{name}.{fmt}.txt"), "rb") as golden:
             assert proc.stdout == golden.read()
+
+
+#: A child that runs ``paradox --N 4 --format records`` through
+#: ``ghzport.__main__.run`` with the verdict turned unverified, so it exits 4.
+UNVERIFIED_PARADOX = textwrap.dedent("""
+    import sys
+    import ghzport.__main__ as entry
+    import ghzport.cli as cli
+    real = cli.run_paradox
+    def unverified(n, enumerate_models):
+        report = real(n, enumerate_models=enumerate_models)
+        return type(report)(**{**vars(report), "contradiction": False})
+    cli.run_paradox = unverified
+    sys.argv[1:] = ["paradox", "--N", "4", "--format", "records"]
+    entry.run()
+""")
+
+
+def _main_in_process(capsys, argv):
+    """(exit code, stdout bytes) of ``cli.main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    return code, capsys.readouterr().out.encode("utf-8")
+
+
+def run_buffered(*args):
+    """``run_python(*args, text=False)`` with PYTHONUNBUFFERED unset, so that
+    the child's stdout is block-buffered, as it is by default on a pipe."""
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+class TestProcessExit:
+    """``python -m ghzport`` ends through ``os._exit`` once ``cli.main`` has
+    returned, after the ``atexit`` handlers and a flush; a profiler or tracer
+    keeps the interpreter's own exit."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["paradox", "--N", "4", "--format", "records"], 0),
+        (["paradox", "--N", "3"], 1),
+        (["paradox", "--N", "four"], 2),
+        (["probability", "{table}", "--format", "records"], 3),
+    ])
+    def test_exit_code_and_stdout_are_those_of_main(self, capsys, tmp_path, argv, code):
+        table = tmp_path / "eight-octaports.json"
+        table.write_text(json.dumps({"schema": "ghzport-scenario/1", "particles": 8,
+                                     "ports": 8, "phases": [[0.0] * 8] * 8}), encoding="utf-8")
+        argv = [arg.format(table=table) for arg in argv]
+        proc = run_buffered("-m", "ghzport", *argv)
+        assert (proc.returncode, proc.stdout) == _main_in_process(capsys, argv)
+        assert proc.returncode == code
+
+    def test_unverified_verdict_exit_and_stdout_are_those_of_main(self, capsys, monkeypatch):
+        real = cli.run_paradox
+        monkeypatch.setattr(cli, "run_paradox", lambda n, enumerate_models: _rebuilt(
+            real(n, enumerate_models=enumerate_models), contradiction=False))
+        proc = run_buffered("-c", UNVERIFIED_PARADOX)
+        expected = _main_in_process(capsys, ["paradox", "--N", "4", "--format", "records"])
+        assert (proc.returncode, proc.stdout) == expected
+        assert proc.returncode == 4
+
+    @pytest.mark.parametrize("profiler", ["", "sys.setprofile(lambda *args: None); "],
+                             ids=["fast-exit", "profiled"])
+    def test_an_atexit_handler_runs_once_and_its_output_is_flushed(self, profiler):
+        probe = ("import atexit, sys; import ghzport.__main__ as entry; "
+                 "atexit.register(lambda: print('handler')); " + profiler +
+                 "sys.argv[1:] = ['multiport', '--ports', '2']; entry.run()")
+        proc = run_buffered("-c", probe)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(b"Bell multiport, M = 2 ports")
+        assert proc.stdout.endswith(b"\nhandler\n")
+        assert proc.stdout.count(b"handler") == 1
+
+    def test_cprofile_still_prints_its_table_after_the_records(self):
+        proc = run_buffered("-m", "cProfile", "-m", "ghzport", "paradox", "--N", "4",
+                            "--format", "records")
+        assert proc.returncode == 0
+        with open(os.path.join(GOLDEN, "paradox-n4.records.txt"), "rb") as golden:
+            records = golden.read()
+        assert proc.stdout.startswith(records)
+        assert b" function calls " in proc.stdout[len(records):]
+
+    @pytest.mark.parametrize("tools, profile, trace, inspect, kept", [
+        (None, None, None, 0, False),
+        ({}, None, None, 0, False),
+        ({2: "cProfile"}, None, None, 0, True),
+        ({5: "optimizer"}, None, None, 0, True),
+        (None, print, None, 0, True),
+        ({}, None, print, 0, True),
+        ({}, None, None, 1, True),
+    ], ids=["no-monitoring", "no-tool", "monitoring-profiler", "last-tool-id",
+            "setprofile", "settrace", "inspect"])
+    def test_the_interpreter_exit_is_kept_for_profilers_tracers_and_inspect(
+            self, monkeypatch, tools, profile, trace, inspect, kept):
+        # sys.monitoring is faked: this suite runs on 3.11, and the 3.12+
+        # interpreters here have no numpy, so ``python -m cProfile -m
+        # ghzport`` through sys.monitoring is not run end to end
+        def get_tool(tool):
+            if not 0 <= tool <= 5:
+                raise ValueError(f"invalid tool {tool} (must be between 0 and 5)")
+            return tools.get(tool)
+
+        if tools is None:
+            monkeypatch.delattr(sys, "monitoring", raising=False)
+        else:
+            monkeypatch.setattr(sys, "monitoring", SimpleNamespace(get_tool=get_tool),
+                                raising=False)
+        monkeypatch.setattr(sys, "getprofile", lambda: profile)
+        monkeypatch.setattr(sys, "gettrace", lambda: trace)
+        monkeypatch.setattr(sys, "flags", SimpleNamespace(inspect=inspect))
+        assert entry._needs_interpreter_exit() is kept
 
 
 #: A valid scenario with neither a sampling nor a constraints block.

@@ -72,20 +72,18 @@ WATCHED = ("ghzport.scenario", "ghzport.paradox", "ghzport.text", "ghzport.lhv",
 
 def loaded_by(*argv):
     """The WATCHED modules that one ``python -m ghzport`` run loads, run
-    through runpy in a fresh interpreter; the run must exit 0.
-    ``ghzport.closed`` and numpy load with the command line, so every run
-    lists them."""
+    through runpy in a fresh interpreter; the run must exit 0 (``run_fresh``
+    checks the child's return code). The run ends the process, so an
+    ``atexit`` handler registered before it reports. ``ghzport.closed`` and
+    numpy load with the command line, so every run lists them."""
     out = run_fresh(textwrap.dedent(f"""
-        import json, runpy, sys
+        import atexit, json, runpy, sys
+        atexit.register(lambda: print(json.dumps(
+            [m for m in {WATCHED!r} if m in sys.modules])))
         sys.argv[1:] = {list(argv)!r}
-        try:
-            runpy.run_module("ghzport", run_name="__main__")
-        except SystemExit as exc:
-            print(json.dumps([exc.code, [m for m in {WATCHED!r} if m in sys.modules]]))
+        runpy.run_module("ghzport", run_name="__main__")
     """))
-    code, loaded = json.loads(out.splitlines()[-1])
-    assert code == 0
-    return set(loaded)
+    return set(json.loads(out.splitlines()[-1]))
 
 
 def test_paradox_records_load_neither_the_schema_nor_the_text_renderers():

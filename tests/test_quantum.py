@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import pickle
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ghzport import quantum
-from ghzport.angles import TAU, PhaseAngle, Residue
+from ghzport.angles import PROBABILITY_TOLERANCE, TAU, PhaseAngle, Residue
 from ghzport.closed import (
     _closed_form_exponents,
     perfect_correlation_class,
@@ -27,6 +28,7 @@ from ghzport.errors import (
 )
 from ghzport.quantum import (
     ExperimentConfig,
+    OutcomeDistribution,
     PhaseSettings,
     _class_amplitudes,
     _class_probabilities_amplitude,
@@ -314,6 +316,27 @@ class TestFullDistribution:
     def test_enumeration_guard(self):
         with pytest.raises(ResourceLimitError, match="10000000"):
             full_distribution(ExperimentConfig(8, 8), zero_settings(8, 8))
+
+    @pytest.mark.parametrize("particles, ports", [(1, 3), (3, 2), (2, 5)])
+    def test_total_off_one_by_the_tolerance_is_an_integrity_error(self, particles, ports):
+        # class probabilities built directly, so the guard sees a total that
+        # no probability route would hand it
+        cfg = ExperimentConfig(particles, ports)
+        per_class = ports ** (particles - 1)
+
+        def classes(miss):
+            probs = np.full(ports, 1.0 / ports ** particles)
+            probs[-1] += miss / per_class
+            return probs, float(per_class * probs.sum())
+
+        for miss in (2 * PROBABILITY_TOLERANCE, -2 * PROBABILITY_TOLERANCE, 1e-6, 0.5):
+            probs, total = classes(miss)
+            assert abs(total - 1.0) >= PROBABILITY_TOLERANCE
+            with pytest.raises(ComputationIntegrityError,
+                               match=re.escape(f"distribution total {total!r} deviates")):
+                OutcomeDistribution(cfg, probs)
+        probs, total = classes(PROBABILITY_TOLERANCE / 2)
+        assert OutcomeDistribution(cfg, probs).total == total != 1.0
 
     def test_support_matches_the_table_walk(self):
         rng = np.random.default_rng(19)

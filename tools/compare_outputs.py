@@ -40,11 +40,23 @@ Commands that occur twice run once.
 Then it starts one child per tree, with that tree's ``src`` first on
 PYTHONPATH and the tree as working directory, which runs every command
 through ``ghzport.cli.main`` in process. It lists every command whose stdout,
-exit code or stderr differs, with wall-clock figures masked, and exits 1 if
-any does. For a records-format command whose stdout differs, it runs that
-command once more in each tree as ``python -m ghzport``, streams the two
-outputs record by record, and names each record field that differs
-(``record.field``) with the largest absolute change of its numbers.
+exit code or stderr differs, with wall-clock figures masked. For a
+records-format command whose stdout differs, it runs that command once more
+in each tree as ``python -m ghzport``, streams the two outputs record by
+record, and names each record field that differs (``record.field``) with the
+largest absolute change of its numbers.
+
+The in-process pass cannot see what ``ghzport.__main__.run`` adds around
+``cli.main``: the flush, the process exit code and the ``atexit`` handlers.
+So a process pass runs, in each tree, every ``GOLDEN_COMMANDS`` entry of
+CHANGE_TREE's ``tests/test_cli.py`` in both formats as ``python -m
+ghzport``, plus one command per error exit code: 1 (``paradox --N 3``), 2
+(a usage error), 3 (``probability`` on 8^8 outcomes) and 4 (the test
+module's ``UNVERIFIED_PARADOX`` child, which patches the verdict; no argv
+reaches exit 4). It lists every run whose stdout bytes, exit code or masked
+stderr differ. Every child runs without PYTHONUNBUFFERED, so stdout is
+block-buffered as on any pipe. The tool exits 1 if either pass finds a
+difference.
 
 The workload commands come from CHANGE_TREE's ``perfbench/workloads.py``;
 neither tree is written to (no bytecode either). Scenario files the
@@ -53,6 +65,7 @@ workloads generate go to a temporary directory that both children read.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import importlib.util
@@ -64,6 +77,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 SEEDS = (3, 4)
@@ -214,6 +228,42 @@ def command_set(tree: Path, inputs: Path) -> list:
     return list(unique.values())
 
 
+def _test_cli_constant(tree: Path, name: str):
+    """A module-level constant of the tree's ``tests/test_cli.py``, evaluated
+    with bundled scenario paths relative to the tree."""
+    source = (tree / "tests" / "test_cli.py").read_text(encoding="utf-8")
+    (node,) = [node for node in ast.parse(source).body if isinstance(node, ast.Assign)
+               and [getattr(target, "id", None) for target in node.targets] == [name]]
+    return eval(compile(ast.Expression(node.value), "test_cli.py", "eval"),
+                {"SCENARIOS": Path("src/ghzport/scenarios"), "textwrap": textwrap})
+
+
+def process_runs(tree: Path, inputs: Path) -> list:
+    """(label, python arguments) of every run in the process pass."""
+    commands = [argv for command in _test_cli_constant(tree, "GOLDEN_COMMANDS").values()
+                for argv in _both_formats(command)]
+    guard = _table_scenario(inputs / "guard-eight-octaports.json", 8, 8)
+    commands += [["paradox", "--N", "3"], ["paradox", "--N", "four"], ["probability", guard]]
+    runs = [(" ".join(["-m", "ghzport", *argv]), ["-m", "ghzport", *argv]) for argv in commands]
+    return runs + [("-c UNVERIFIED_PARADOX",
+                    ["-c", _test_cli_constant(tree, "UNVERIFIED_PARADOX")])]
+
+
+def _result(code, stdout: bytes, stderr: str) -> dict:
+    """What is compared of one run: exit code, stdout digest and size, and
+    stderr with wall-clock figures masked."""
+    return {"code": code, "stdout": hashlib.sha256(stdout).hexdigest(),
+            "stdout_bytes": len(stdout),
+            "stderr": WALL_CLOCK.sub("wall clock: <masked> s", stderr)}
+
+
+def run_process(args, tree: Path) -> dict:
+    """The result of ``python -B *args`` run in the tree."""
+    done = subprocess.run([sys.executable, "-B", *args], cwd=tree, env=_child_env(tree),
+                          capture_output=True)
+    return _result(done.returncode, done.stdout, done.stderr.decode("utf-8", "replace"))
+
+
 def run_child(commands_path: str, results_path: str) -> None:
     """Run each command through ghzport.cli.main; write code, stdout digest
     and masked stderr per command."""
@@ -227,15 +277,13 @@ def run_child(commands_path: str, results_path: str) -> None:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-        stdout = out.getvalue().encode("utf-8")
-        results.append({"code": code, "stdout": hashlib.sha256(stdout).hexdigest(),
-                        "stdout_bytes": len(stdout),
-                        "stderr": WALL_CLOCK.sub("wall clock: <masked> s", err.getvalue())})
+        results.append(_result(code, out.getvalue().encode("utf-8"), err.getvalue()))
     Path(results_path).write_text(json.dumps(results), encoding="utf-8")
 
 
 def _child_env(tree: Path) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
     return env
@@ -295,6 +343,20 @@ def _field_report(argv, trees: dict, scratch: Path) -> dict:
         return _changed_fields(old, new)
 
 
+def _report(title: str, old: dict, new: dict) -> list:
+    """Print how two results differ; returns the fields that do."""
+    fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
+    if fields:
+        print(f"DIFFERS ({', '.join(fields)}): {title}")
+    if "code" in fields:
+        print(f"  exit code {old['code']} -> {new['code']}")
+    if "stdout" in fields:
+        print(f"  stdout {old['stdout_bytes']} -> {new['stdout_bytes']} bytes")
+    if "stderr" in fields:
+        print(f"  stderr {old['stderr']!r}\n      -> {new['stderr']!r}")
+    return fields
+
+
 def compare(parent: Path, change: Path) -> int:
     trees = {"parent": parent, "change": change}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
@@ -320,23 +382,19 @@ def compare(parent: Path, change: Path) -> int:
             results[label] = json.loads(results_path.read_text(encoding="utf-8"))
         differing = 0
         for argv, old, new in zip(commands, results["parent"], results["change"]):
-            fields = [key for key in ("code", "stdout", "stderr") if old[key] != new[key]]
-            if not fields:
-                continue
-            differing += 1
-            print(f"DIFFERS ({', '.join(fields)}): ghzport {' '.join(argv)}")
-            if "code" in fields:
-                print(f"  exit code {old['code']} -> {new['code']}")
-            if "stdout" in fields:
-                print(f"  stdout {old['stdout_bytes']} -> {new['stdout_bytes']} bytes")
-                if argv[-2:] == ["--format", "records"]:
-                    for name, delta in sorted(_field_report(argv, trees, scratch).items()):
-                        size = "non-numeric" if delta is None else f"largest change {delta:.3g}"
-                        print(f"  field {name}: {size}")
-            if "stderr" in fields:
-                print(f"  stderr {old['stderr']!r}\n      -> {new['stderr']!r}")
+            fields = _report(f"ghzport {' '.join(argv)}", old, new)
+            differing += bool(fields)
+            if "stdout" in fields and argv[-2:] == ["--format", "records"]:
+                for name, delta in sorted(_field_report(argv, trees, scratch).items()):
+                    size = "non-numeric" if delta is None else f"largest change {delta:.3g}"
+                    print(f"  field {name}: {size}")
+        runs = process_runs(change, inputs)
+        processes_differing = sum(
+            bool(_report(f"python {label}", *(run_process(args, tree) for tree in trees.values())))
+            for label, args in runs)
     print(f"{len(commands)} commands compared, {differing} differ")
-    return 1 if differing else 0
+    print(f"{len(runs)} processes compared, {processes_differing} differ")
+    return 1 if differing or processes_differing else 0
 
 
 def main(argv=None) -> int:
