@@ -11,7 +11,17 @@ each as a JSON line; ``--format text`` renders it by record type in
 (the ``run`` record carries the scenario). Table rows skip the dicts: a
 handler yields them as a callable returning the lines for a format, written
 by ``quantum._table_rows``. Nothing is yielded before the result is
-computed, so an error leaves stdout empty.
+computed, so an error leaves stdout empty. ``json`` is imported only when
+records are written.
+
+``_COMMANDS`` describes the subcommands once: help, positionals and options.
+``main`` reads argv first with ``_plain_args``, which accepts only the plain
+spelling (a subcommand, its positionals, and each option spelt in full at
+most once with a value not starting with ``-``) and returns the namespace
+argparse would. Every other argv goes to ``build_parser``, the table's
+argparse rendering: help, ``--version``, usage errors, abbreviations,
+``--option=value``, repeated options and negative numbers keep argparse's
+bytes and exit codes, and only then do argparse, gettext and locale load.
 
 Processes start ``main`` through ``ghzport.__main__.run``. Only
 ``ghzport.closed`` (the closed form, and numpy with it) loads with this
@@ -33,11 +43,10 @@ integrity error, 2 usage error, 3 enumeration guard exceeded or out of memory
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import __version__
 from .angles import angle_to_json
@@ -246,6 +255,8 @@ def _write(records, fmt: str) -> dict:
     seen = {}
     if fmt == "text":
         from .text import _TEXT
+    else:
+        import json  # only records format writes JSON
     for record in records:
         if callable(record):
             sys.stdout.writelines(record(fmt))
@@ -261,9 +272,47 @@ def _write(records, fmt: str) -> dict:
 
 # --- dispatch ---------------------------------------------------------------
 
+_SCENARIO = ("scenario", "scenario file (JSON)")
+_FORMAT = {"flag": "--format", "dest": "format", "choices": ("text", "records"),
+           "default": "text", "help": "aligned text or line-delimited JSON records"}
+
+#: Each subcommand's help, the defaults it sets (its handler, and a fixed
+#: format where it has no ``--format``), its positionals as (name, help) and
+#: its options: ``add_argument``'s keywords plus the ``flag`` and, for an
+#: integer with a lower bound, the ``bound``. An absent default is None.
+#: ``build_parser`` renders the table; ``_plain_args`` reads argv with it.
+_COMMANDS = {
+    "multiport": ("print a Bell multiport unitary", {"handler": _cmd_multiport}, (), (
+        {"flag": "--ports", "dest": "ports", "type": int, "required": True, "metavar": "M"},
+        _FORMAT)),
+    "probability": ("full joint-detection probability table",
+                    {"handler": _cmd_probability}, (_SCENARIO,), (_FORMAT,)),
+    "correlate": ("correlation: closed form, brute force, exact class",
+                  {"handler": _cmd_correlate}, (_SCENARIO,), (_FORMAT,)),
+    "sample": ("seeded outcome sampling", {"handler": _cmd_sample}, (_SCENARIO,), (
+        {"flag": "--shots", "dest": "shots", "type": int, "bound": 1},
+        {"flag": "--seed", "dest": "seed", "type": int, "bound": 0},
+        _FORMAT)),
+    "lhv-search": ("count deterministic local models meeting the scenario's constraints",
+                   {"handler": _cmd_lhv_search},
+                   (("scenario", "scenario file (JSON) with a constraints block"),), (_FORMAT,)),
+    "paradox": ("build, verify and report an N = M+1 contradiction",
+                {"handler": _cmd_paradox}, (), (
+                    {"flag": "--N", "dest": "N", "type": int, "required": True,
+                     "help": "particle count (>= 4; ports M = N-1)"},
+                    {"flag": "--skip-enumeration", "dest": "skip_enumeration",
+                     "action": "store_true", "default": False,
+                     "help": "skip the exhaustive model count"},
+                    _FORMAT)),
+    "examples": ("list or print bundled scenarios",
+                 {"handler": _cmd_examples, "format": "text"}, (), (
+                     {"flag": "--name", "dest": "name", "help": "print this bundled scenario"},)),
+}
+
 
 def _at_least(minimum: int):
     """argparse type for an integer option that must be >= ``minimum``."""
+    import argparse
 
     def parse(text: str) -> int:
         try:
@@ -277,7 +326,10 @@ def _at_least(minimum: int):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """``_COMMANDS`` rendered as an ``argparse.ArgumentParser``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ghzport",
         description="Quantum predictions and local-hidden-variable falsification "
@@ -285,60 +337,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ghzport {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(sub):
-        sub.add_argument("--format", choices=("text", "records"), default="text",
-                         help="aligned text or line-delimited JSON records")
-
-    sub = commands.add_parser("multiport", help="print a Bell multiport unitary")
-    sub.add_argument("--ports", type=int, required=True, metavar="M")
-    add_format(sub)
-    sub.set_defaults(handler=_cmd_multiport)
-
-    sub = commands.add_parser("probability",
-                              help="full joint-detection probability table")
-    sub.add_argument("scenario", help="scenario file (JSON)")
-    add_format(sub)
-    sub.set_defaults(handler=_cmd_probability)
-
-    sub = commands.add_parser("correlate",
-                              help="correlation: closed form, brute force, exact class")
-    sub.add_argument("scenario", help="scenario file (JSON)")
-    add_format(sub)
-    sub.set_defaults(handler=_cmd_correlate)
-
-    sub = commands.add_parser("sample", help="seeded outcome sampling")
-    sub.add_argument("scenario", help="scenario file (JSON)")
-    sub.add_argument("--shots", type=_at_least(1), default=None)
-    sub.add_argument("--seed", type=_at_least(0), default=None)
-    add_format(sub)
-    sub.set_defaults(handler=_cmd_sample)
-
-    sub = commands.add_parser("lhv-search",
-                              help="count deterministic local models meeting the "
-                                   "scenario's constraints")
-    sub.add_argument("scenario", help="scenario file (JSON) with a constraints block")
-    add_format(sub)
-    sub.set_defaults(handler=_cmd_lhv_search)
-
-    sub = commands.add_parser("paradox",
-                              help="build, verify and report an N = M+1 contradiction")
-    sub.add_argument("--N", type=int, required=True, dest="N",
-                     help="particle count (>= 4; ports M = N-1)")
-    sub.add_argument("--skip-enumeration", action="store_true",
-                     help="skip the exhaustive model count")
-    add_format(sub)
-    sub.set_defaults(handler=_cmd_paradox)
-
-    sub = commands.add_parser("examples", help="list or print bundled scenarios")
-    sub.add_argument("--name", default=None, help="print this bundled scenario")
-    sub.set_defaults(handler=_cmd_examples, format="text")
-
+    for name, (text, defaults, positionals, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text)
+        for positional, positional_help in positionals:
+            sub.add_argument(positional, help=positional_help)
+        for option in options:
+            keywords = {k: v for k, v in option.items() if k not in ("flag", "bound")}
+            if "bound" in option:
+                keywords["type"] = _at_least(option["bound"])
+            sub.add_argument(option["flag"], **keywords)
+        sub.set_defaults(**defaults)
     return parser
 
 
+def _plain_args(argv):
+    """``build_parser().parse_args(argv)``'s namespace, read from ``_COMMANDS``
+    when ``argv`` is spelt plainly (see the module docstring); else None.
+    It prints nothing."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, defaults, positionals, options = _COMMANDS[argv[0]]
+    unseen = {option["flag"]: option for option in options}
+    values, given, tokens = {"command": argv[0], **defaults}, [], iter(argv[1:])
+    for token in tokens:
+        option = unseen.pop(token, None)  # each option at most once
+        if option is None:
+            if token.startswith("-"):
+                return None
+            given.append(token)
+        elif option.get("action") == "store_true":
+            values[option["dest"]] = True
+        else:
+            text = next(tokens, "-")
+            try:
+                value = option.get("type", str)(text)
+            except ValueError:
+                return None
+            if (text.startswith("-") or value < option.get("bound", value)
+                    or value not in option.get("choices", (value,))):
+                return None
+            values[option["dest"]] = value
+    if len(given) != len(positionals) or any(o.get("required") for o in unseen.values()):
+        return None
+    values.update((option["dest"], option.get("default")) for option in unseen.values())
+    values.update(zip((name for name, _ in positionals), given))
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         seen = _write(args.handler(args), args.format)

@@ -8,7 +8,7 @@ from importlib import resources
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ghzport.__main__ as entry
@@ -624,6 +624,120 @@ class TestDispatch:
         assert proc.returncode == 0
         with open(os.path.join(GOLDEN, f"{name}.{fmt}.txt"), "rb") as golden:
             assert proc.stdout == golden.read()
+
+
+BUNDLED_GHZ4 = str(SCENARIOS / "ghz-n4-m3.json")
+#: Each subcommand's plain spelling, which ``cli._plain_args`` reads itself.
+PLAIN_ARGV = [
+    *([*argv, "--format", fmt] for fmt in ("text", "records") for argv in (
+        ["multiport", "--ports", "3"],
+        ["probability", BUNDLED_GHZ4],
+        ["correlate", BUNDLED_GHZ4],
+        ["sample", BUNDLED_GHZ4, "--shots", "10", "--seed", "4"],
+        ["sample", "--seed", "0", BUNDLED_GHZ4, "--shots", " 7"],
+        ["lhv-search", BUNDLED_GHZ4],
+        ["paradox", "--N", "4"],
+        ["paradox", "--skip-enumeration", "--N", "\u0664"])),
+    ["paradox", "--N", "64"],
+    ["sample", BUNDLED_GHZ4],
+    ["examples"],
+    ["examples", "--name", "ghz-n4-m3"],
+    ["examples", "--name", ""],
+]
+#: Spellings the reader leaves to argparse: help, the version, an empty argv,
+#: abbreviations, ``=``, repeated options, values starting with ``-``, ``--``,
+#: values outside a bound or choices, and missing or extra arguments.
+FALLBACK_ARGV = [
+    [], ["--version"], ["-h"], ["bogus"], ["paradox", "-h"], ["paradox", "--help"],
+    ["paradox", "--form", "records", "--N", "4"],
+    ["paradox", "--format=records", "--N", "4"],
+    ["paradox", "--N=4"],
+    ["paradox", "--N", "4", "--N", "5"],
+    ["paradox", "--N", "4", "--skip-enumeration", "--skip-enumeration"],
+    ["paradox", "--N", "-4"],
+    ["paradox", "--", "--N", "4"],
+    ["paradox", "--N", "four"],
+    ["paradox"], ["paradox", "--N"],
+    ["paradox", "--N", "4", "--format", "json"],
+    ["sample", BUNDLED_GHZ4, "--shots", "0"],
+    ["sample", BUNDLED_GHZ4, "--seed", "-1"],
+    ["sample", BUNDLED_GHZ4, "--shots", "3.0"],
+    ["sample", "--shots", "5"],
+    ["multiport", "--ports", "3", "extra"],
+    ["examples", "--name", "ghz-n4-m3", "--format", "records"],
+    ["examples", "--name", "--"], ["examples", "--name", "-h"],
+]
+#: The tokens the property test draws argv from: every subcommand and flag,
+#: other spellings of them, and values in and out of each converter, bound
+#: and choice. An argv is a first token, then up to four chunks of a flag and
+#: a value or of one token, cut at seven tokens.
+SUBCOMMANDS = ["multiport", "probability", "correlate", "sample", "lhv-search", "paradox",
+               "examples"]
+FLAGS = ["--ports", "--format", "--shots", "--seed", "--N", "--skip-enumeration", "--name",
+         "--form", "--format=text", "--N=4", "-h", "--help", "--version", "--", "--skip"]
+VALUES = ["4", "0", "-1", " 5", "\u0664", "4_0", "+2", "3.0", "", "text", "records",
+          BUNDLED_GHZ4]
+READER_VOCABULARY = SUBCOMMANDS + FLAGS + VALUES
+READER_ARGV = st.builds(
+    lambda first, chunks: [first, *(token for chunk in chunks for token in chunk)][:7],
+    st.one_of(st.sampled_from(SUBCOMMANDS), st.sampled_from(READER_VOCABULARY)),
+    st.lists(st.one_of(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+                       st.tuples(st.sampled_from(READER_VOCABULARY))), max_size=4))
+
+
+def _argv_id(argv):
+    return " ".join(argv).replace(BUNDLED_GHZ4, "ghz-n4-m3.json")
+
+
+def _read_as_argparse_does(argv):
+    """``cli._plain_args(argv)``, checked against argparse whenever it reads
+    ``argv``: argparse must then read it too, to the same attributes."""
+    args = cli._plain_args(argv)
+    if args is not None:
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"the reader read {argv!r}; argparse exits {exc.code}")
+        assert vars(args) == vars(parsed), argv
+    return args
+
+
+def _pinned(test):
+    """The property test with each argv of PLAIN_ARGV and FALLBACK_ARGV as an
+    explicit example."""
+    for argv in PLAIN_ARGV + FALLBACK_ARGV:
+        test = example(argv)(test)
+    return test
+
+
+class TestPlainReader:
+    """Plain command lines are read from ``cli._COMMANDS`` without argparse;
+    argparse, rendered from the same table, is the oracle."""
+
+    @pytest.mark.parametrize("argv", PLAIN_ARGV, ids=_argv_id)
+    def test_plain_spelling_is_read_as_argparse_reads_it(self, argv):
+        assert _read_as_argparse_does(argv) is not None
+
+    @pytest.mark.parametrize("argv", FALLBACK_ARGV, ids=_argv_id)
+    def test_other_spellings_are_left_to_argparse_and_print_nothing(self, capsys, argv):
+        assert cli._plain_args(argv) is None
+        assert capsys.readouterr() == ("", "")
+
+    @_pinned
+    @settings(max_examples=1500, deadline=None)
+    @given(READER_ARGV)
+    def test_reader_agrees_with_argparse(self, argv):
+        _read_as_argparse_does(argv)
+
+    def test_main_falls_back_to_argparse_for_other_spellings(self, capsys):
+        assert main(["paradox", "--N=4", "--form", "records"]) == 0
+        with open(os.path.join(GOLDEN, "paradox-n4.records.txt"), encoding="utf-8") as golden:
+            assert capsys.readouterr().out == golden.read()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", BUNDLED_GHZ4, "--shots", "0"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "ghzport sample: error: argument --shots: must be >= 1, got 0\n")
 
 
 #: A child that runs ``paradox --N 4 --format records`` through

@@ -15,12 +15,16 @@ import ghzport
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
-def run_fresh(code):
-    """Run ``python -c code`` in a fresh interpreter against this source tree."""
-    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+def fresh_env():
+    return {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
+def run_fresh(code, exit_code=0):
+    """Run ``python -c code`` in a fresh interpreter against this source tree;
+    it must exit with ``exit_code``."""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
+                          env=fresh_env())
+    assert proc.returncode == exit_code, proc.stderr
     return proc.stdout
 
 
@@ -66,35 +70,39 @@ def test_from_import_still_imports_submodules():
 BUNDLED = os.path.join(SRC, "ghzport", "scenarios", "ghz-n4-m3.json")
 #: Exact phases are integer pairs, so no command imports these.
 NO_FRACTIONS = {"fractions", "decimal"}
+#: A plain command line is read without argparse, which brings the other two.
+NO_ARGPARSE = {"argparse", "gettext", "locale"}
 WATCHED = ("ghzport.scenario", "ghzport.paradox", "ghzport.text", "ghzport.lhv",
-           "ghzport.multiport", "ghzport.quantum", "ghzport.closed", "numpy", *NO_FRACTIONS)
+           "ghzport.multiport", "ghzport.quantum", "ghzport.closed", "numpy", "json",
+           *NO_FRACTIONS, *NO_ARGPARSE)
 
 
-def loaded_by(*argv):
+def loaded_by(*argv, exit_code=0):
     """The WATCHED modules that one ``python -m ghzport`` run loads, run
-    through runpy in a fresh interpreter; the run must exit 0 (``run_fresh``
-    checks the child's return code). The run ends the process, so an
-    ``atexit`` handler registered before it reports. ``ghzport.closed`` and
-    numpy load with the command line, so every run lists them."""
+    through runpy in a fresh interpreter; the run must exit with
+    ``exit_code`` (``run_fresh`` checks the child's return code). The run
+    ends the process, so an ``atexit`` handler registered before it reports,
+    on the last stdout line; the probe itself imports no WATCHED module.
+    ``ghzport.closed`` and numpy load with the command line, so every run
+    lists them."""
     out = run_fresh(textwrap.dedent(f"""
-        import atexit, json, runpy, sys
-        atexit.register(lambda: print(json.dumps(
-            [m for m in {WATCHED!r} if m in sys.modules])))
+        import atexit, runpy, sys
+        atexit.register(lambda: print(" ".join(m for m in {WATCHED!r} if m in sys.modules)))
         sys.argv[1:] = {list(argv)!r}
         runpy.run_module("ghzport", run_name="__main__")
-    """))
-    return set(json.loads(out.splitlines()[-1]))
+    """), exit_code)
+    return set(out.splitlines()[-1].split())
 
 
 def test_paradox_records_load_neither_the_schema_nor_the_text_renderers():
     assert loaded_by("paradox", "--N", "4", "--format", "records").isdisjoint(
-        {"ghzport.scenario", "ghzport.text", *NO_FRACTIONS})
+        {"ghzport.scenario", "ghzport.text", *NO_FRACTIONS, *NO_ARGPARSE})
 
 
 def test_lhv_search_records_load_neither_paradox_nor_the_text_renderers():
     loaded = loaded_by("lhv-search", BUNDLED, "--format", "records")
     assert "ghzport.scenario" in loaded
-    assert loaded.isdisjoint({"ghzport.paradox", "ghzport.text", *NO_FRACTIONS})
+    assert loaded.isdisjoint({"ghzport.paradox", "ghzport.text", *NO_FRACTIONS, *NO_ARGPARSE})
 
 
 @pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["correlate", BUNDLED],
@@ -103,14 +111,17 @@ def test_lhv_search_records_load_neither_paradox_nor_the_text_renderers():
 def test_text_format_loads_the_text_renderers(argv):
     loaded = loaded_by(*argv, "--format", "text")
     assert "ghzport.text" in loaded
-    assert loaded.isdisjoint(NO_FRACTIONS)
+    assert loaded.isdisjoint({*NO_FRACTIONS, *NO_ARGPARSE})
+    # only records are written as JSON; a scenario file is read with json
+    assert ("json" in loaded) == (argv[0] not in ("paradox", "multiport"))
 
 
 @pytest.mark.parametrize("argv", [["paradox", "--N", "4"], ["lhv-search", BUNDLED]])
 def test_exact_track_loads_no_outcome_table_code(argv):
     loaded = loaded_by(*argv, "--format", "records")
-    assert {"ghzport.closed", "ghzport.lhv"} <= loaded
-    assert loaded.isdisjoint({"ghzport.quantum", "ghzport.multiport", *NO_FRACTIONS})
+    assert {"ghzport.closed", "ghzport.lhv", "json"} <= loaded
+    assert loaded.isdisjoint({"ghzport.quantum", "ghzport.multiport", *NO_FRACTIONS,
+                              *NO_ARGPARSE})
 
 
 @pytest.fixture(scope="module")
@@ -129,25 +140,92 @@ def test_table_commands_without_constraints_load_no_lhv(float_table, command):
     assert {"ghzport.scenario", "ghzport.quantum"} <= loaded
     # unit_roots lives in ghzport.closed, so no table command loads multiport
     assert loaded.isdisjoint({"ghzport.lhv", "ghzport.paradox", "ghzport.multiport",
-                              *NO_FRACTIONS})
+                              *NO_FRACTIONS, *NO_ARGPARSE})
 
 
 def test_a_constraints_block_loads_lhv():
     loaded = loaded_by("correlate", BUNDLED, "--format", "records")
     assert "ghzport.lhv" in loaded
-    assert loaded.isdisjoint(NO_FRACTIONS)
+    assert loaded.isdisjoint({*NO_FRACTIONS, *NO_ARGPARSE})
 
 
 def test_multiport_loads_neither_the_schema_nor_lhv_nor_the_table_layer():
     loaded = loaded_by("multiport", "--ports", "3", "--format", "records")
     assert "ghzport.multiport" in loaded
     assert loaded.isdisjoint({"ghzport.scenario", "ghzport.lhv", "ghzport.quantum",
-                              *NO_FRACTIONS})
+                              *NO_FRACTIONS, *NO_ARGPARSE})
 
 
 @pytest.mark.parametrize("argv", [["examples"], ["examples", "--name", "ghz-n4-m3"]])
 def test_examples_load_no_scenario_code(argv):
-    assert loaded_by(*argv).isdisjoint({"ghzport.scenario", "ghzport.lhv", *NO_FRACTIONS})
+    assert loaded_by(*argv).isdisjoint({"ghzport.scenario", "ghzport.lhv", "json",
+                                        *NO_FRACTIONS, *NO_ARGPARSE})
+
+
+@pytest.mark.parametrize("argv", [
+    ["multiport", "--ports", "3", "--format", "records"],
+    ["probability", BUNDLED, "--format", "records"],
+    ["correlate", BUNDLED, "--format", "records"],
+    ["sample", BUNDLED, "--shots", "10", "--seed", "4", "--format", "records"],
+    ["lhv-search", BUNDLED, "--format", "records"],
+    ["paradox", "--N", "4", "--skip-enumeration", "--format", "records"],
+    ["examples"], ["examples", "--name", "ghz-n4-m3"]])
+def test_plain_command_lines_load_no_argparse(argv):
+    # text format: test_text_format_loads_the_text_renderers
+    loaded = loaded_by(*argv)
+    assert loaded.isdisjoint(NO_ARGPARSE)
+    assert ("json" in loaded) == (argv[0] != "examples")
+
+
+PARADOX_USAGE = ("usage: ghzport paradox [-h] --N N [--skip-enumeration]\n"
+                 "                       [--format {text,records}]\n")
+#: argv that only argparse reads, and the exit code, stdout and stderr of
+#: ``python -m ghzport`` on it, at COLUMNS=80.
+ARGPARSE_RUNS = {
+    "help": (["--help"], 0, (
+        "usage: ghzport [-h] [--version]\n"
+        "               {multiport,probability,correlate,sample,lhv-search,paradox,examples}\n"
+        "               ...\n"
+        "\n"
+        "Quantum predictions and local-hidden-variable falsification for GHZ\n"
+        "experiments on symmetric multiport beam splitters.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {multiport,probability,correlate,sample,lhv-search,paradox,examples}\n"
+        "    multiport           print a Bell multiport unitary\n"
+        "    probability         full joint-detection probability table\n"
+        "    correlate           correlation: closed form, brute force, exact class\n"
+        "    sample              seeded outcome sampling\n"
+        "    lhv-search          count deterministic local models meeting the\n"
+        "                        scenario's constraints\n"
+        "    paradox             build, verify and report an N = M+1 contradiction\n"
+        "    examples            list or print bundled scenarios\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --version             show program's version number and exit\n"), ""),
+    "usage-error": (["paradox", "--N", "four"], 2, "", PARADOX_USAGE + (
+        "ghzport paradox: error: argument --N: invalid int value: 'four'\n")),
+    "version": (["--version"], 0, "ghzport 0.1.0\n", ""),
+    "paradox-help": (["paradox", "-h"], 0, PARADOX_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --N N                 particle count (>= 4; ports M = N-1)\n"
+        "  --skip-enumeration    skip the exhaustive model count\n"
+        "  --format {text,records}\n"
+        "                        aligned text or line-delimited JSON records\n"), ""),
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", ARGPARSE_RUNS.values(),
+                         ids=ARGPARSE_RUNS.keys())
+def test_help_version_and_usage_errors_still_load_argparse(argv, code, stdout, stderr):
+    assert NO_ARGPARSE <= loaded_by(*argv, exit_code=code)
+    proc = subprocess.run([sys.executable, "-m", "ghzport", *argv], capture_output=True,
+                          env={**fresh_env(), "COLUMNS": "80"})
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (
+        code, stdout, stderr)
 
 
 def test_closed_form_names_do_not_load_the_table_layer():

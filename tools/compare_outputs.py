@@ -34,7 +34,14 @@ Builds one command set:
     separators, surrounding whitespace, non-ASCII digits, whitespace or a
     sign beside the ``/``, a zero denominator, and 2^63 on either side),
     held in its phases and its catalog settings, so that the parse notes
-    and ``[scenario]`` errors of each spelling are compared.
+    and ``[scenario]`` errors of each spelling are compared;
+  - the command-line spellings in ``SPELLINGS`` (in both formats) and
+    ``SPELLINGS_AS_IS``: those ghzport leaves to argparse (an abbreviated
+    ``--form``, ``--format=records`` and ``--N=4``, repeated options,
+    ``-4``, ``--``, ``-h``, ``--shots 0``, ``--seed -1``, an extra argument
+    and ``examples --format``), and values its plain reader converts as
+    argparse does (``--N`` in Arabic-Indic digits, ``--shots " 7" --seed
+    4_0``).
 Commands that occur twice run once.
 
 Then it starts one child per tree, with that tree's ``src`` first on
@@ -53,7 +60,8 @@ CHANGE_TREE's ``tests/test_cli.py`` in both formats as ``python -m
 ghzport``, plus one command per error exit code: 1 (``paradox --N 3``), 2
 (a usage error), 3 (``probability`` on 8^8 outcomes) and 4 (the test
 module's ``UNVERIFIED_PARADOX`` child, which patches the verdict; no argv
-reaches exit 4). It lists every run whose stdout bytes, exit code or masked
+reaches exit 4), and every command-line spelling of the in-process pass,
+since argparse's help and usage errors exit through ``SystemExit``. It lists every run whose stdout bytes, exit code or masked
 stderr differ. Every child runs without PYTHONUNBUFFERED, so stdout is
 block-buffered as on any pipe. The tool exits 1 if either pass finds a
 difference.
@@ -88,6 +96,30 @@ EXTRA = (
     ("examples", "--name", "nope"),
     ("multiport", "--ports", "1"),
     ("multiport", "--ports", "65"),
+)
+GHZ4 = "src/ghzport/scenarios/ghz-n4-m3.json"
+#: Command-line spellings beside the plain one, run in both formats: an
+#: ``=``, repeated options, values with a sign, a space, ``_`` or non-ASCII
+#: digits, ``--``, and values outside a bound.
+SPELLINGS = (
+    ("paradox", "--N=4"),
+    ("paradox", "--N", "4", "--N", "5"),
+    ("paradox", "--N", "\u0664"),
+    ("paradox", "--N", "-4"),
+    ("paradox", "--", "--N", "4"),
+    ("paradox", "--N", "4", "--skip-enumeration", "--skip-enumeration"),
+    ("sample", GHZ4, "--shots", "0"),
+    ("sample", GHZ4, "--seed", "-1"),
+    ("sample", GHZ4, "--shots", " 7", "--seed", "4_0"),
+)
+#: Spellings run as they are: those that spell the format themselves, help,
+#: an extra argument and an option a subcommand does not take.
+SPELLINGS_AS_IS = (
+    ("paradox", "--form", "records", "--N", "4"),
+    ("paradox", "--format=records", "--N", "4"),
+    ("paradox", "-h"),
+    ("multiport", "--ports", "3", "extra"),
+    ("examples", "--name", "ghz-n4-m3", "--format", "records"),
 )
 #: (name, particles, ports, commands): scenario files with float phases
 #: written by ``_table_scenario``, and what runs on each.
@@ -183,6 +215,12 @@ def _grammar_scenario(path: Path, entry: str) -> str:
     return str(path)
 
 
+def spellings() -> list:
+    """Every argv of SPELLINGS, in both formats, and of SPELLINGS_AS_IS."""
+    return ([argv for spelling in SPELLINGS for argv in _both_formats(spelling)]
+            + [list(argv) for argv in SPELLINGS_AS_IS])
+
+
 def command_set(tree: Path, inputs: Path) -> list:
     """Every argv to compare; relative scenario paths resolve in each tree."""
     workloads = _load_workloads(tree)
@@ -224,6 +262,7 @@ def command_set(tree: Path, inputs: Path) -> list:
         for kind in ("correlate", "lhv-search"):
             commands.extend(_both_formats((kind, path)))
     commands.extend(list(argv) for argv in EXTRA)
+    commands.extend(spellings())
     unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
     return list(unique.values())
 
@@ -243,7 +282,8 @@ def process_runs(tree: Path, inputs: Path) -> list:
     commands = [argv for command in _test_cli_constant(tree, "GOLDEN_COMMANDS").values()
                 for argv in _both_formats(command)]
     guard = _table_scenario(inputs / "guard-eight-octaports.json", 8, 8)
-    commands += [["paradox", "--N", "3"], ["paradox", "--N", "four"], ["probability", guard]]
+    commands += [["paradox", "--N", "3"], ["paradox", "--N", "four"], ["probability", guard],
+                 *spellings()]
     runs = [(" ".join(["-m", "ghzport", *argv]), ["-m", "ghzport", *argv]) for argv in commands]
     return runs + [("-c UNVERIFIED_PARADOX",
                     ["-c", _test_cli_constant(tree, "UNVERIFIED_PARADOX")])]
