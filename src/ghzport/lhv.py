@@ -4,11 +4,10 @@ A deterministic model assigns, to every (station, local setting) pair, one of
 the M Bell numbers; residues mod M carry the whole arithmetic since the
 product of assigned values is the sum of their exponents. The module can
 evaluate models against perfect-correlation constraints, count exactly, over
-every model, those satisfying a constraint set (by elimination of A x = b
-over each prime power of M), and derive the value algebraically forced on
-one pattern by multiplying constraints side by side. Each entry point
-validates the patterns it is given on every call; nothing is kept between
-calls.
+every model, those satisfying a constraint set (by elimination of the system
+A x = b over each prime power of M), and derive the value forced on one
+pattern as the sum of the system's rows. Each entry point validates the
+patterns it is given on every call; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -147,14 +146,26 @@ def satisfies(model: DeterministicModel, constraints: Sequence[Constraint]) -> b
     return all(model_value(model, c.pattern) == c.required for c in constraints)
 
 
-def _check_constraints(catalog, constraints):
+def _system(catalog, constraints):
+    """Check each constraint (its pattern, then its residue's modulus) and
+    write it as a row [b, a_1, ..., a_cells] of A x = b (mod M), with a 1 in
+    each cell it names, cells in table order. The rows and each station's
+    first cell."""
+    counts = catalog.setting_counts
+    first = [sum(counts[:station]) for station in range(len(counts))]
+    rows = []
     for constraint in constraints:
-        catalog.validate_pattern(constraint.pattern)
+        pattern = catalog.validate_pattern(constraint.pattern)
         if constraint.required.modulus != catalog.ports:
             raise ValueError(
                 f"constraint residue modulus {constraint.required.modulus} "
                 f"does not match the catalog's {catalog.ports} ports"
             )
+        row = [constraint.required.value] + [0] * sum(counts)
+        for station, setting in enumerate(pattern):
+            row[1 + first[station] + setting] = 1
+        rows.append(row)
+    return rows, first
 
 
 def _prime_powers(modulus):
@@ -218,17 +229,9 @@ def count_satisfying(catalog: SettingsCatalog,
         raise ResourceLimitError(
             f"{total} deterministic models exceeds the search guard of {MODEL_GUARD}"
         )
-    _check_constraints(catalog, constraints)
-
+    rows, first = _system(catalog, constraints)
     counts = catalog.setting_counts
     cells = sum(counts)
-    first = [sum(counts[:station]) for station in range(len(counts))]
-    rows = []
-    for constraint in constraints:
-        row = [constraint.required.value] + [0] * cells
-        for station, setting in enumerate(constraint.pattern):
-            row[1 + first[station] + setting] = 1
-        rows.append(row)
     count, systems = 1, []
     for q in _prime_powers(catalog.ports):
         echelon = _echelon(rows, cells, q)
@@ -256,29 +259,21 @@ def ghz_forced_value(
 ) -> Optional[ForcedValue]:
     """Multiply the constraints side by side and name the value they force.
 
-    Counts how often each (station, setting) cell occurs across the constraint
-    patterns. Because every assigned value is an M-th root of unity, cells
-    occurring 0 mod M drop out of the product. If what remains is exactly one
-    cell per station, each occurring 1 mod M, those cells form a pattern whose
-    product is forced to the sum of the required residues; otherwise the
-    multiplication proves nothing and None is returned.
+    The product of the constraints is the sum of the system's rows: column
+    sums mod M. Because every assigned value is an M-th root of unity, a cell
+    whose column sums to 0 drops out. If what remains is exactly one cell per
+    station, summing to 1, those cells form a pattern whose product is forced
+    to the sum of the required residues; otherwise the multiplication proves
+    nothing and None is returned.
     """
-    _check_constraints(catalog, constraints)
-    ports = catalog.ports
-    occurrences: dict = {}
-    total = 0
-    for constraint in constraints:
-        for station, setting in enumerate(constraint.pattern):
-            occurrences[(station, setting)] = occurrences.get((station, setting), 0) + 1
-        total += constraint.required.value
-    pattern: list = [None] * catalog.stations
-    for (station, setting), hits in occurrences.items():
-        remainder = hits % ports
-        if remainder == 0:
-            continue
-        if remainder != 1 or pattern[station] is not None:
-            return None
-        pattern[station] = setting
-    if any(setting is None for setting in pattern):
+    rows, first = _system(catalog, constraints)
+    if not rows:
         return None
-    return ForcedValue(tuple(pattern), Residue(total, ports))
+    total, *sums = (sum(column) % catalog.ports for column in zip(*rows))
+    pattern = []
+    for start, stop in zip(first, first[1:] + [len(sums)]):
+        station = sums[start:stop]
+        if sum(station) != 1:  # residues in 0..M-1: one cell at 1, the others 0
+            return None
+        pattern.append(station.index(1))
+    return ForcedValue(tuple(pattern), Residue(total, catalog.ports))

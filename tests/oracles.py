@@ -179,3 +179,27 @@ def enumerate_models(setting_counts, ports, constraints):
             if first is None:
                 first = tuple(tables)
     return count, first
+
+
+def multiplied_constraints(stations, ports, constraints):
+    """The value forced by multiplying (pattern, required) constraints side
+    by side: (pattern, residue) or None.
+
+    Each (station, setting) cell is counted once per pattern that names it.
+    Every value is an M-th root of unity, so a cell counted a multiple of M
+    times drops out of the product. The product names a pattern when every
+    station keeps exactly one cell, counted 1 mod M; its value is then the
+    sum of the required residues, mod M.
+    """
+    hits = {}
+    for pattern, _ in constraints:
+        for station, setting in enumerate(pattern):
+            hits[(station, setting)] = hits.get((station, setting), 0) + 1
+    pattern = []
+    for station in range(stations):
+        left = [(setting, n % ports) for (where, setting), n in sorted(hits.items())
+                if where == station and n % ports]
+        if len(left) != 1 or left[0][1] != 1:
+            return None
+        pattern.append(left[0][0])
+    return tuple(pattern), sum(required for _, required in constraints) % ports

@@ -82,6 +82,12 @@ class TestPhaseAngle:
         assert PhaseAngle.from_radians(TAU).radians == 0.0
         assert math.copysign(1.0, PhaseAngle.from_radians(-0.0).radians) == 1.0
 
+    def test_seam_noise_wraps_to_zero(self):
+        # a tiny negative angle plus 2*pi rounds to 2*pi, outside [0, 2*pi)
+        for tiny in (-1e-300, -1e-17):
+            assert math.fmod(tiny, TAU) + TAU == TAU
+            assert PhaseAngle.from_radians(tiny).radians == 0.0
+
     def test_as_residue_exact(self):
         assert PhaseAngle.from_turns(Fraction(2, 3)).as_residue(3) == Residue(2, 3)
         assert PhaseAngle.from_turns(Fraction(1, 9)).as_residue(3) is None

@@ -16,6 +16,7 @@ from ghzport.lhv import (
     MODEL_GUARD,
     Constraint,
     DeterministicModel,
+    ForcedValue,
     SettingsCatalog,
     count_satisfying,
     ghz_forced_value,
@@ -58,6 +59,30 @@ def lhv_problems(draw, moduli=st.integers(2, 12)):
             required = draw(st.integers(0, ports - 1))
         constraints.append((pattern, required))
     return tuple(counts), ports, constraints
+
+
+@st.composite
+def multiplied_problems(draw):
+    """(setting counts, M, [(pattern, required)]) for the forced value.
+
+    Each station's column of the patterns hits its cells 0, 1, 2 or M times,
+    and one drawn cell takes what is left of the row count, in a drawn order;
+    row counts 1, M + 1 and 2M + 1 can leave one cell per station at 1 mod M.
+    """
+    ports = draw(st.integers(2, 12))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    rows = draw(st.sampled_from([0, 1, 2, ports, ports + 1, 2 * ports + 1]))
+    columns = []
+    for n in counts:
+        hits, left = [], rows
+        for _ in range(n):
+            hits.append(min(left, draw(st.sampled_from([0, 1, 2, ports]))))
+            left -= hits[-1]
+        hits[draw(st.integers(0, n - 1))] += left
+        column = [setting for setting, h in enumerate(hits) for _ in range(h)]
+        columns.append(draw(st.permutations(column)))
+    required = draw(st.lists(st.integers(0, ports - 1), min_size=rows, max_size=rows))
+    return tuple(counts), ports, list(zip(zip(*columns), required))
 
 
 def blank_catalog(ports, counts):
@@ -396,6 +421,37 @@ class TestForcedValue:
         repeated = [swap_constraints()[0]] * 2  # cell counts 2 mod 3 resolve nothing
         assert ghz_forced_value(repeated, catalog) is None
         assert ghz_forced_value([], catalog) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(multiplied_problems())
+    @example(((2, 2, 2, 2), 3, [(p, 2) for p in [(1, 0, 0, 0), (0, 1, 0, 0),
+                                                 (0, 0, 1, 0), (0, 0, 0, 1)]]))
+    @example(((2,), 3, [((0,), 1), ((1,), 2)]))  # a station with two live cells
+    @example(((2, 1), 2, [((0, 0), 1), ((0, 0), 1)]))  # no live cell
+    @example(((1, 1), 5, []))
+    def test_matches_multiplied_constraints(self, problem):
+        counts, ports, pairs = problem
+        constraints = [Constraint(p, Residue(r, ports)) for p, r in pairs]
+        forced = ghz_forced_value(constraints, blank_catalog(ports, counts))
+        expected = oracles.multiplied_constraints(len(counts), ports, pairs)
+        if expected is None:
+            assert forced is None
+        else:
+            assert forced == ForcedValue(expected[0], Residue(expected[1], ports))
+
+    @pytest.mark.parametrize("constraints, message", [
+        ([Constraint((0, 1), Residue(1, 3)), Constraint((0, 1, 0, 0), Residue(1, 4))],
+         "pattern has 2 entries, expected 4"),
+        ([Constraint((0, 1, 0, 0), Residue(1, 4)), Constraint((0, 1), Residue(1, 3))],
+         "constraint residue modulus 4 does not match the catalog's 3 ports"),
+        ([Constraint((0, 1), Residue(1, 4))], "pattern has 2 entries, expected 4"),
+    ])
+    def test_first_bad_constraint_names_the_error(self, constraints, message):
+        # checked in order, each constraint's pattern before its modulus
+        for call in (ghz_forced_value, lambda c, catalog: count_satisfying(catalog, c)):
+            with pytest.raises(ValueError) as raised:
+                call(constraints, paradox_catalog())
+            assert str(raised.value) == message
 
     def test_forced_value_consistent_with_enumeration(self):
         # every model satisfying the premises takes the forced value

@@ -804,6 +804,10 @@ class TestOutcomeCounts:
             full_distribution(cfg, settings).class_probabilities(), particles, ports, 3000,
             seed)
         counts = result.counts
+        # each key also unravelled alone from its lex index, across blocks
+        shape = (ports,) * particles
+        assert list(expected) == [tuple(int(d) for d in np.unravel_index(int(i), shape))
+                                  for i in counts.indices]
         assert dict(counts) == expected and counts == expected
         assert len(counts) == len(expected)
         assert list(counts) == list(expected) == sorted(expected)

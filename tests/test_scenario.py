@@ -169,6 +169,74 @@ class TestValidation:
         assert any("seed" in note for note in scenario.notes)
 
 
+def require(*entries):
+    return {"require": list(entries)}
+
+
+ROW_ERROR = 'phases station 1 port 1: expected a number of radians or a "p/q" string'
+INDEX_ERROR = "constraints.require[1]: station 1 setting index must be a 1-based integer"
+
+#: (document, exact errors or None, exact notes): the valid 2x2 ``minimal_doc``
+#: with one change, each reaching one branch of the scenario checks.
+SCHEMA_BRANCHES = {
+    "top level a list": ([], ["top level must be a JSON object"], None),
+    "particles a string": (minimal_doc(particles="2"),
+                           ["scenario: field 'particles' must be an integer"], None),
+    "phases an object": (minimal_doc(phases={}),
+                         ["phases: expected 2 station rows (particles=2), got none"], None),
+    "a string row": (minimal_doc(phases=["0.0", [0.0, 0.0]]),
+                     ["phases station 1: expected a list of 2 phase entries"], None),
+    "a null entry": (minimal_doc(phases=[[None, 0.0], [0.0, 0.0]]), [ROW_ERROR], None),
+    "a true entry": (minimal_doc(phases=[[True, 0.0], [0.0, 0.0]]), [ROW_ERROR], None),
+    "a radian string": (minimal_doc(phases=[["0.5", 0.0], [0.0, "1/2"]]), None,
+                        ("phases station 1 port 1: string '0.5' read as radians",)),
+    "constraints a list": (minimal_doc(constraints=[]),
+                           ["constraints: expected an object with settings/require"], None),
+    "settings for one station": (minimal_doc(constraints={"settings": [[[0.0, 0.0]]]}),
+                                 ["constraints.settings: expected 2 station entries"], None),
+    "an empty station list": (
+        minimal_doc(constraints={"settings": [[], [[0.0, 0.0]]]}),
+        ["constraints.settings station 1: expected a non-empty list of rows"], None),
+    "require an object": (minimal_doc(constraints={"require": {}}),
+                          ["constraints.require: expected a list"], None),
+    "a require entry 1": (minimal_doc(constraints=require(1)),
+                          ["constraints.require[1]: expected an object with pattern/class"],
+                          None),
+    "a one-entry pattern": (minimal_doc(constraints=require({"pattern": [1], "class": 0})),
+                            ["constraints.require[1]: pattern must list 2 setting indices"],
+                            None),
+    "a string class": (minimal_doc(constraints=require({"pattern": [1, 1], "class": "1"})),
+                       ["constraints.require[1]: class must be an integer mod 2"], None),
+    "index 0": (minimal_doc(constraints=require({"pattern": [0, 1], "class": 0})),
+                [INDEX_ERROR], None),
+    "index true": (minimal_doc(constraints=require({"pattern": [True, 1], "class": 0})),
+                   [INDEX_ERROR], None),
+    "sampling a list": (minimal_doc(sampling=[]),
+                        ["sampling: expected an object with shots/seed"], None),
+}
+
+
+class TestSchemaBranches:
+    @pytest.mark.parametrize("name", SCHEMA_BRANCHES)
+    def test_each_branch_reports_its_field(self, name):
+        doc, errors, notes = SCHEMA_BRANCHES[name]
+        if errors is None:
+            assert parse_scenario_data(doc).notes == notes
+            return
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario_data(doc)
+        assert excinfo.value.errors == errors
+
+    def test_directory_cannot_be_read(self, tmp_path):
+        try:
+            tmp_path.read_text(encoding="utf-8")
+        except OSError as exc:
+            expected = [f"cannot read {tmp_path}: {exc}"]
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario(tmp_path)
+        assert excinfo.value.errors == expected
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "name", ["mach-zehnder-n1-m2", "bell-epr-n2-m3", "ghz-n4-m3", "ghz-n5-m4"]
