@@ -19,7 +19,8 @@ Schema ``ghzport-scenario/1``::
 
 Unknown fields are rejected. All diagnostics are collected before failing so
 one pass reports every problem; harmless normalizations (an unreduced "3/9",
-a defaulted seed) surface as notes instead.
+a defaulted seed) surface as notes instead. Errors and notes come in block
+order: the top level, then phases, constraints and sampling.
 """
 
 from __future__ import annotations
@@ -60,68 +61,64 @@ class Scenario(_Record):
         return tuple([self.__dict__[name] for name in self._fields[:-1]])
 
 
-class _Collector:
-    def __init__(self):
-        self.errors: list = []
-        self.notes: list = []
-
-    def error(self, message: str) -> None:
-        self.errors.append(message)
-
-    def note(self, message: str) -> None:
-        self.notes.append(message)
-
-
-def _parse_angle(value, where: str, collector: _Collector) -> Optional[PhaseAngle]:
+def _parse_angle(value, where: str, errors: list, notes: list) -> Optional[PhaseAngle]:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        collector.error(f"{where}: expected a number of radians or a \"p/q\" string")
+        errors.append(f"{where}: expected a number of radians or a \"p/q\" string")
         return None
     try:
         angle = PhaseAngle.parse(value)
     except OverflowError as exc:  # RationalOverflowError, or an int too large for a float
-        collector.error(f"{where}: {exc}")
+        errors.append(f"{where}: {exc}")
         return None
     except ZeroDivisionError:
-        collector.error(f"{where}: rational {value!r} has a zero denominator")
+        errors.append(f"{where}: rational {value!r} has a zero denominator")
         return None
     except ValueError:
-        collector.error(f"{where}: cannot read {value!r} as radians or \"p/q\"")
+        errors.append(f"{where}: cannot read {value!r} as radians or \"p/q\"")
         return None
     if isinstance(value, str) and "/" in value:
         canonical = angle_to_json(angle)
         if value.strip() != canonical:
-            collector.note(f"{where}: \"{value}\" normalized to {canonical} of 2*pi")
+            notes.append(f"{where}: \"{value}\" normalized to {canonical} of 2*pi")
     elif isinstance(value, str):
-        collector.note(f"{where}: string {value!r} read as radians")
+        notes.append(f"{where}: string {value!r} read as radians")
     return angle
 
 
-def _parse_row(value, length: int, where: str, collector: _Collector):
+def _parse_row(value, length: int, where: str, errors: list, notes: list):
     if not isinstance(value, list):
-        collector.error(f"{where}: expected a list of {length} phase entries")
+        errors.append(f"{where}: expected a list of {length} phase entries")
         return None
     if len(value) != length:
-        collector.error(f"{where}: expected {length} entries (ports={length}), got {len(value)}")
+        errors.append(f"{where}: expected {length} entries (ports={length}), got {len(value)}")
         return None
-    row = [_parse_angle(entry, f"{where} port {m + 1}", collector) for m, entry in enumerate(value)]
+    row = [_parse_angle(entry, f"{where} port {m + 1}", errors, notes)
+           for m, entry in enumerate(value)]
     if any(angle is None for angle in row):
         return None
     return tuple(row)
 
 
-def _require_keys(data: dict, allowed: set, where: str, collector: _Collector) -> None:
+def _parse_rows(rows_data: list, ports: int, where: str, errors: list, notes: list) -> list:
+    """The rows of ``rows_data`` that parse, the i-th named ``{where} {i}`` from 1."""
+    rows = [_parse_row(row, ports, f"{where} {i + 1}", errors, notes)
+            for i, row in enumerate(rows_data)]
+    return [row for row in rows if row is not None]
+
+
+def _require_keys(data: dict, allowed: set, where: str, errors: list) -> None:
     for key in data:
         if key not in allowed:
-            collector.error(f"{where}: unknown field {key!r}")
+            errors.append(f"{where}: unknown field {key!r}")
 
 
-def _parse_int(data: dict, key: str, where: str, collector: _Collector, minimum: int):
+def _parse_int(data: dict, key: str, where: str, errors: list, minimum: int):
     value = data.get(key)
     if isinstance(value, bool) or not isinstance(value, int):
-        collector.error(f"{where}: field {key!r} must be an integer")
+        errors.append(f"{where}: field {key!r} must be an integer")
         return None
     if value < minimum:
-        collector.error(f"{where}: field {key!r} must be >= {minimum}, got {value}")
+        errors.append(f"{where}: field {key!r} must be >= {minimum}, got {value}")
         return None
     return value
 
@@ -129,103 +126,77 @@ def _parse_int(data: dict, key: str, where: str, collector: _Collector, minimum:
 def parse_scenario_data(data, source: str = "<scenario>") -> Scenario:
     """Validate a decoded scenario document; raises ScenarioError with every
     diagnostic found, or returns the scenario plus normalization notes."""
-    collector = _Collector()
+    errors, notes = [], []
     if not isinstance(data, dict):
         raise ScenarioError(["top level must be a JSON object"], source)
-    _require_keys(
-        data,
-        {"schema", "particles", "ports", "phases", "constraints", "sampling"},
-        "scenario",
-        collector,
-    )
+    _require_keys(data, {"schema", "particles", "ports", "phases", "constraints", "sampling"},
+                  "scenario", errors)
     schema = data.get("schema")
     if schema is None:
-        collector.note(f"no schema field; assuming {SCHEMA_ID}")
+        notes.append(f"no schema field; assuming {SCHEMA_ID}")
     elif schema != SCHEMA_ID:
-        collector.error(f"scenario: unsupported schema {schema!r} (expected {SCHEMA_ID})")
+        errors.append(f"scenario: unsupported schema {schema!r} (expected {SCHEMA_ID})")
 
-    particles = _parse_int(data, "particles", "scenario", collector, minimum=1)
-    ports = _parse_int(data, "ports", "scenario", collector, minimum=2)
+    particles = _parse_int(data, "particles", "scenario", errors, minimum=1)
+    ports = _parse_int(data, "ports", "scenario", errors, minimum=2)
     if particles is None or ports is None:
         # shape validation is meaningless without the geometry
-        raise ScenarioError(collector.errors, source)
+        raise ScenarioError(errors, source)
 
     phases_data = data.get("phases")
     rows = []
     if not isinstance(phases_data, list) or len(phases_data) != particles:
         given = len(phases_data) if isinstance(phases_data, list) else "none"
-        collector.error(
+        errors.append(
             f"phases: expected {particles} station rows (particles={particles}), got {given}"
         )
     else:
-        for l, row_data in enumerate(phases_data):
-            row = _parse_row(row_data, ports, f"phases station {l + 1}", collector)
-            if row is not None:
-                rows.append(row)
+        rows = _parse_rows(phases_data, ports, "phases station", errors, notes)
 
     catalog = None
     constraints = None
     if "constraints" in data:
         catalog, constraints = _parse_constraints(
-            data["constraints"], particles, ports, rows, collector
+            data["constraints"], particles, ports, rows, errors, notes
         )
 
     sampling = None
     if "sampling" in data:
-        sampling = _parse_sampling(data["sampling"], collector)
+        sampling = _parse_sampling(data["sampling"], errors, notes)
 
-    if collector.errors:
-        raise ScenarioError(collector.errors, source)
-
-    scenario = Scenario(
-        config=ExperimentConfig(particles, ports),
-        phases=PhaseSettings(tuple(rows)),
-        catalog=catalog,
-        constraints=constraints,
-        sampling=sampling,
-        notes=tuple(collector.notes),
-    )
-    return scenario
+    if errors:
+        raise ScenarioError(errors, source)
+    return Scenario(config=ExperimentConfig(particles, ports), phases=PhaseSettings(tuple(rows)),
+                    catalog=catalog, constraints=constraints, sampling=sampling,
+                    notes=tuple(notes))
 
 
-def _parse_constraints(block, particles, ports, phase_rows, collector):
+def _parse_constraints(block, particles, ports, phase_rows, errors, notes):
     from .lhv import Constraint, SettingsCatalog  # only a constraints block needs them
 
     if not isinstance(block, dict):
-        collector.error("constraints: expected an object with settings/require")
+        errors.append("constraints: expected an object with settings/require")
         return None, None
-    _require_keys(block, {"settings", "require"}, "constraints", collector)
+    _require_keys(block, {"settings", "require"}, "constraints", errors)
 
     settings_data = block.get("settings")
     station_settings = None
     if settings_data is None:
         if len(phase_rows) == particles:
             station_settings = tuple((row,) for row in phase_rows)
-            collector.note(
+            notes.append(
                 "constraints: no settings given; each station's catalog is its phases row"
             )
     elif not isinstance(settings_data, list) or len(settings_data) != particles:
-        collector.error(
-            f"constraints.settings: expected {particles} station entries"
-        )
+        errors.append(f"constraints.settings: expected {particles} station entries")
     else:
         parsed_stations = []
         for l, rows_data in enumerate(settings_data):
+            where = f"constraints.settings station {l + 1}"
             if not isinstance(rows_data, list) or not rows_data:
-                collector.error(
-                    f"constraints.settings station {l + 1}: expected a non-empty list of rows"
-                )
+                errors.append(f"{where}: expected a non-empty list of rows")
                 continue
-            rows = []
-            for i, row_data in enumerate(rows_data):
-                row = _parse_row(
-                    row_data,
-                    ports,
-                    f"constraints.settings station {l + 1} setting {i + 1}",
-                    collector,
-                )
-                if row is not None:
-                    rows.append(row)
+            rows = _parse_rows(rows_data, ports, f"{where} setting", errors, notes)
             if len(rows) == len(rows_data):
                 parsed_stations.append(tuple(rows))
         if len(parsed_stations) == particles:
@@ -234,35 +205,33 @@ def _parse_constraints(block, particles, ports, phase_rows, collector):
     require_data = block.get("require", [])
     parsed = []
     if not isinstance(require_data, list):
-        collector.error("constraints.require: expected a list")
+        errors.append("constraints.require: expected a list")
         require_data = []
     for i, entry in enumerate(require_data):
         where = f"constraints.require[{i + 1}]"
         if not isinstance(entry, dict):
-            collector.error(f"{where}: expected an object with pattern/class")
+            errors.append(f"{where}: expected an object with pattern/class")
             continue
-        _require_keys(entry, {"pattern", "class"}, where, collector)
+        _require_keys(entry, {"pattern", "class"}, where, errors)
         pattern = entry.get("pattern")
         klass = entry.get("class")
         if not isinstance(pattern, list) or len(pattern) != particles:
-            collector.error(f"{where}: pattern must list {particles} setting indices")
+            errors.append(f"{where}: pattern must list {particles} setting indices")
             continue
         if isinstance(klass, bool) or not isinstance(klass, int):
-            collector.error(f"{where}: class must be an integer mod {ports}")
+            errors.append(f"{where}: class must be an integer mod {ports}")
             continue
         if not 0 <= klass < ports:
-            collector.note(f"{where}: class {klass} reduced mod {ports} to {klass % ports}")
+            notes.append(f"{where}: class {klass} reduced mod {ports} to {klass % ports}")
         indices = []
         for l, index in enumerate(pattern):
             if isinstance(index, bool) or not isinstance(index, int) or index < 1:
-                collector.error(
-                    f"{where}: station {l + 1} setting index must be a 1-based integer"
-                )
+                errors.append(f"{where}: station {l + 1} setting index must be a 1-based integer")
                 indices = None
                 break
             limit = len(station_settings[l]) if station_settings else None
             if limit is not None and index > limit:
-                collector.error(
+                errors.append(
                     f"{where}: station {l + 1} setting index {index} exceeds the "
                     f"{limit} catalog setting(s)"
                 )
@@ -272,24 +241,24 @@ def _parse_constraints(block, particles, ports, phase_rows, collector):
         if indices is not None:
             parsed.append(Constraint(tuple(indices), Residue(klass, ports)))
 
-    if collector.errors or station_settings is None:
+    if errors or station_settings is None:
         return None, None
     return SettingsCatalog(ports, station_settings), tuple(parsed)
 
 
-def _parse_sampling(block, collector):
+def _parse_sampling(block, errors, notes):
     if not isinstance(block, dict):
-        collector.error("sampling: expected an object with shots/seed")
+        errors.append("sampling: expected an object with shots/seed")
         return None
-    _require_keys(block, {"shots", "seed"}, "sampling", collector)
-    shots = _parse_int(block, "shots", "sampling", collector, minimum=1)
+    _require_keys(block, {"shots", "seed"}, "sampling", errors)
+    shots = _parse_int(block, "shots", "sampling", errors, minimum=1)
     seed = 0
     if "seed" in block:
-        parsed = _parse_int(block, "seed", "sampling", collector, minimum=0)
+        parsed = _parse_int(block, "seed", "sampling", errors, minimum=0)
         if parsed is not None:
             seed = parsed
     else:
-        collector.note("sampling: no seed given; defaulting to 0")
+        notes.append("sampling: no seed given; defaulting to 0")
     if shots is None:
         return None
     return SamplingSpec(shots, seed)

@@ -33,6 +33,12 @@ class TestResidue:
         with pytest.raises(ValueError):
             Residue(1, 3) + Residue(1, 4)
 
+    def test_subtraction_reduces_mod_m(self):
+        assert Residue(1, 3) - Residue(2, 3) == Residue(2, 3)
+        assert Residue(0, 4) - Residue(1, 4) == Residue(3, 4)
+        with pytest.raises(ValueError, match="^cannot combine residues with moduli 3 and 4$"):
+            Residue(1, 3) - Residue(1, 4)
+
     def test_bad_modulus_rejected(self):
         with pytest.raises(ValueError):
             Residue(0, 1)
@@ -64,6 +70,29 @@ class TestPhaseAngle:
         total = quarter + bump
         assert total.turns is None
         assert total.radians == pytest.approx(math.pi / 2 + 0.1, abs=1e-12)
+
+    def test_exact_negation_and_subtraction_wrap(self):
+        ninth = PhaseAngle.from_turns(Fraction(1, 9))
+        assert (-ninth).turns == Fraction(8, 9)
+        assert (ninth - PhaseAngle.from_turns(Fraction(2, 9))).turns == Fraction(8, 9)
+        assert (ninth - ninth).turns == 0
+
+    def test_float_operand_gives_a_float_angle(self):
+        ninth = PhaseAngle.from_turns(Fraction(1, 9))
+        bump = PhaseAngle.from_radians(0.1)
+        assert (-bump).turns is None
+        assert (-bump).radians == pytest.approx(TAU - 0.1, abs=1e-12)
+        difference = ninth - bump
+        assert difference.turns is None
+        assert difference.radians == pytest.approx(TAU / 9 - 0.1, abs=1e-12)
+
+    def test_non_angle_operand_raises_type_error(self):
+        ninth = PhaseAngle.from_turns(Fraction(1, 9))
+        for other in (0.1, Fraction(1, 9), Residue(1, 9)):
+            with pytest.raises(TypeError):
+                ninth - other
+            with pytest.raises(TypeError):
+                ninth + other
 
     def test_overflow_reported(self):
         a = PhaseAngle.from_turns(Fraction(1, 2**62))

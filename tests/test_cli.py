@@ -468,6 +468,14 @@ class TestParadox:
             4, "", "ghzport: error [paradox-mismatch] experiment 'all reference': "
                    "classes differ\n")
 
+    def test_integrity_error_outside_paradox_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(quantum, "PROBABILITY_TOLERANCE", 0.0)  # any gap fails
+        code, out, err = run_cli(capsys, "correlate", str(SCENARIOS / "ghz-n4-m3.json"))
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        # the gap's digits depend on numpy's rounding, so only the prefix is pinned
+        assert err.startswith("ghzport: error [integrity] amplitude and cosine probability "
+                              "routes disagree by ")
+
 
 class TestDispatch:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -31,6 +31,26 @@ def minimal_doc(**overrides):
     return doc
 
 
+#: Errors in every block, several in some. Station 2 of the catalog has one
+#: good setting, so it would allow require[1]'s index 2 if it counted.
+ERRORS_IN_EVERY_BLOCK = {
+    "schema": "other/9", "particles": 2, "ports": 2, "stray": True,
+    "phases": [["1/0", "bogus"], [0.0]],
+    "constraints": {"settings": [[[0.0, 0.0]], [[0.0, 0.0], [0.0, "x"]]], "extra": 1,
+                    "require": [{"pattern": [1, 2], "class": 0, "weight": 1},
+                                {"pattern": [1, 1], "class": True},
+                                {"pattern": [0, 1], "class": 0},
+                                {"pattern": [1], "class": 0}]},
+    "sampling": {"shots": 0, "seed": -1, "rate": 1},
+}
+#: A valid document that draws every note.
+EVERY_NOTE = {
+    "particles": 2, "ports": 2, "phases": [["3/9", "0.5"], [0.0, "1/2"]],
+    "constraints": {"require": [{"pattern": [1, 1], "class": 3}]},
+    "sampling": {"shots": 10},
+}
+
+
 class TestBundledScenarios:
     def test_ghz_n4_parses_and_correlates_to_alpha_squared(self, tmp_path):
         path = tmp_path / "ghz.json"
@@ -111,6 +131,37 @@ class TestValidation:
         with pytest.raises(ScenarioError) as excinfo:
             parse_scenario_data(doc)
         assert len(excinfo.value.errors) >= 3
+
+    def test_errors_keep_their_order_across_blocks(self):
+        with pytest.raises(ScenarioError) as excinfo:
+            parse_scenario_data(ERRORS_IN_EVERY_BLOCK)
+        assert excinfo.value.errors == [
+            "scenario: unknown field 'stray'",
+            "scenario: unsupported schema 'other/9' (expected ghzport-scenario/1)",
+            "phases station 1 port 1: rational '1/0' has a zero denominator",
+            "phases station 1 port 2: cannot read 'bogus' as radians or \"p/q\"",
+            "phases station 2: expected 2 entries (ports=2), got 1",
+            "constraints: unknown field 'extra'",
+            "constraints.settings station 2 setting 2 port 2: "
+            "cannot read 'x' as radians or \"p/q\"",
+            "constraints.require[1]: unknown field 'weight'",
+            "constraints.require[2]: class must be an integer mod 2",
+            "constraints.require[3]: station 1 setting index must be a 1-based integer",
+            "constraints.require[4]: pattern must list 2 setting indices",
+            "sampling: unknown field 'rate'",
+            "sampling: field 'shots' must be >= 1, got 0",
+            "sampling: field 'seed' must be >= 0, got -1",
+        ]
+
+    def test_notes_keep_their_order_across_blocks(self):
+        assert parse_scenario_data(EVERY_NOTE).notes == (
+            "no schema field; assuming ghzport-scenario/1",
+            'phases station 1 port 1: "3/9" normalized to 1/3 of 2*pi',
+            "phases station 1 port 2: string '0.5' read as radians",
+            "constraints: no settings given; each station's catalog is its phases row",
+            "constraints.require[1]: class 3 reduced mod 2 to 1",
+            "sampling: no seed given; defaulting to 0",
+        )
 
     def test_every_bad_catalog_station_reported(self):
         doc = minimal_doc()
@@ -211,6 +262,13 @@ SCHEMA_BRANCHES = {
                 [INDEX_ERROR], None),
     "index true": (minimal_doc(constraints=require({"pattern": [True, 1], "class": 0})),
                    [INDEX_ERROR], None),
+    "particles true": (minimal_doc(particles=True),
+                       ["scenario: field 'particles' must be an integer"], None),
+    "class true": (minimal_doc(constraints=require({"pattern": [1, 1], "class": True})),
+                   ["constraints.require[1]: class must be an integer mod 2"], None),
+    "a bad row and no settings": (
+        minimal_doc(phases=[[None, 0.0], [0.0, 0.0]],
+                    constraints=require({"pattern": [1, 2], "class": 0})), [ROW_ERROR], None),
     "sampling a list": (minimal_doc(sampling=[]),
                         ["sampling: expected an object with shots/seed"], None),
 }

@@ -8,10 +8,12 @@ W --seed S --seconds RUN_SECONDS --trace 0`` once in each tree, one run at a
 time, with the same seed on both sides of the pair; the parent goes first in
 the first pair and the two trees alternate after that. RUN_SECONDS is
 ``run_seconds`` from the parent tree's ``BENCHMARK.json``, so both trees run
-at the benchmark's own length. Both run with PYTHONDONTWRITEBYTECODE=1, so
-neither tree gets bytecode and every child compiles its sources, as in a
-fresh checkout. Each run's full result is read from the tree's
-``.perfbench_runs/result-*.json``.
+at the benchmark's own length. Every run has PYTHONDONTWRITEBYTECODE=1 and
+PYTHONPYCACHEPREFIX set to a new, empty temporary directory, so it neither
+writes bytecode nor reads any that a tree already holds (a test or program
+run without those variables leaves ``__pycache__`` directories behind): every
+child compiles its sources, as in a fresh checkout. Each run's full result is
+read from the tree's ``.perfbench_runs/result-*.json``.
 
 Before the pairs, each tree also runs ``perfbench/run.py --trace 1`` once on
 W, at the first seed and the same length. The traced run imports ghzport and
@@ -46,6 +48,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: The gated end-to-end metrics, lower is better for each.
@@ -56,10 +59,11 @@ def perfbench(name: str, tree: Path, workload: str, seed: int, seconds, trace: i
     """The last stdout line of the tree's own perfbench/run.py, parsed; exits
     naming the tree if the run exits non-zero or that line is not a JSON
     object."""
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{name} tree {tree}: --trace {trace} on {workload} seed {seed} "
                          f"exited {done.returncode}\n{done.stderr[-2000:]}")

@@ -35,6 +35,10 @@ Builds one command set:
     sign beside the ``/``, a zero denominator, and 2^63 on either side),
     held in its phases and its catalog settings, so that the parse notes
     and ``[scenario]`` errors of each spelling are compared;
+  - correlate and lhv-search, in both formats, on CHANGE_TREE's
+    ``ERRORS_IN_EVERY_BLOCK`` and ``EVERY_NOTE`` documents from
+    ``tests/test_scenario.py``, so that the order of the ``[scenario]``
+    errors and of the notes across every block is compared;
   - the command-line spellings in ``SPELLINGS`` (in both formats) and
     ``SPELLINGS_AS_IS``: those ghzport leaves to argparse (an abbreviated
     ``--form``, ``--format=records`` and ``--N=4``, repeated options,
@@ -261,32 +265,38 @@ def command_set(tree: Path, inputs: Path) -> list:
         path = _grammar_scenario(inputs / f"grammar-{index}.json", entry)
         for kind in ("correlate", "lhv-search"):
             commands.extend(_both_formats((kind, path)))
+    for name in ("ERRORS_IN_EVERY_BLOCK", "EVERY_NOTE"):
+        path = inputs / f"{name}.json"
+        path.write_text(json.dumps(_test_constant(tree, "test_scenario", name)),
+                        encoding="utf-8")
+        for kind in ("correlate", "lhv-search"):
+            commands.extend(_both_formats((kind, str(path))))
     commands.extend(list(argv) for argv in EXTRA)
     commands.extend(spellings())
     unique = {tuple(argv): argv for argv in commands}  # seeds share paradox commands
     return list(unique.values())
 
 
-def _test_cli_constant(tree: Path, name: str):
-    """A module-level constant of the tree's ``tests/test_cli.py``, evaluated
+def _test_constant(tree: Path, module: str, name: str):
+    """A module-level constant of the tree's ``tests/<module>.py``, evaluated
     with bundled scenario paths relative to the tree."""
-    source = (tree / "tests" / "test_cli.py").read_text(encoding="utf-8")
+    source = (tree / "tests" / f"{module}.py").read_text(encoding="utf-8")
     (node,) = [node for node in ast.parse(source).body if isinstance(node, ast.Assign)
                and [getattr(target, "id", None) for target in node.targets] == [name]]
-    return eval(compile(ast.Expression(node.value), "test_cli.py", "eval"),
+    return eval(compile(ast.Expression(node.value), f"{module}.py", "eval"),
                 {"SCENARIOS": Path("src/ghzport/scenarios"), "textwrap": textwrap})
 
 
 def process_runs(tree: Path, inputs: Path) -> list:
     """(label, python arguments) of every run in the process pass."""
-    commands = [argv for command in _test_cli_constant(tree, "GOLDEN_COMMANDS").values()
+    commands = [argv for command in _test_constant(tree, "test_cli", "GOLDEN_COMMANDS").values()
                 for argv in _both_formats(command)]
     guard = _table_scenario(inputs / "guard-eight-octaports.json", 8, 8)
     commands += [["paradox", "--N", "3"], ["paradox", "--N", "four"], ["probability", guard],
                  *spellings()]
     runs = [(" ".join(["-m", "ghzport", *argv]), ["-m", "ghzport", *argv]) for argv in commands]
     return runs + [("-c UNVERIFIED_PARADOX",
-                    ["-c", _test_cli_constant(tree, "UNVERIFIED_PARADOX")])]
+                    ["-c", _test_constant(tree, "test_cli", "UNVERIFIED_PARADOX")])]
 
 
 def _result(code, stdout: bytes, stderr: str) -> dict:

@@ -52,6 +52,8 @@ READER = "tests/test_cli.py::TestPlainReader::test_reader_agrees_with_argparse"
 CLOSED = "tests/test_quantum.py::TestClosedFormOracle::"
 ELIMINATION = "tests/test_lhv.py::TestCountSatisfying::test_elimination_matches_oracle"
 FORCED = "tests/test_lhv.py::TestForcedValue::"
+VALIDATION = "tests/test_scenario.py::TestValidation::"
+BRANCH = "tests/test_scenario.py::TestSchemaBranches::test_each_branch_reports_its_field[{}]"
 MUTANTS = (
     Mutant("reader accepts a repeated option", "src/ghzport/cli.py",
            "option = unseen.pop(token, None)  # each option at most once",
@@ -118,6 +120,34 @@ MUTANTS = (
     Mutant("forced value drops the last station's last cell", "src/ghzport/lhv.py",
            "first[1:] + [len(sums)]", "first[1:] + [len(sums) - 1]",
            FORCED + "test_general_family_forces_n_minus_2"),
+    Mutant("_parse_int accepts a bool", "src/ghzport/scenario.py",
+           "if isinstance(value, bool) or not isinstance(value, int):",
+           "if not isinstance(value, int):", BRANCH.format("particles true")),
+    Mutant("_require_keys lets an unknown field through", "src/ghzport/scenario.py",
+           'errors.append(f"{where}: unknown field {key!r}")', "pass",
+           VALIDATION + "test_unknown_field_rejected"),
+    Mutant("_parse_row accepts a short row", "src/ghzport/scenario.py",
+           "if len(value) != length:", "if len(value) > length:",
+           VALIDATION + "test_shape_error_names_the_row"),
+    Mutant("row names count from 0", "src/ghzport/scenario.py",
+           'f"{where} {i + 1}"', 'f"{where} {i}"',
+           VALIDATION + "test_every_bad_catalog_station_reported"),
+    Mutant("a catalog station with a bad row still counts", "src/ghzport/scenario.py",
+           "if len(rows) == len(rows_data):", "if rows:",
+           VALIDATION + "test_errors_keep_their_order_across_blocks"),
+    Mutant("the default catalog is built from the rows that parse", "src/ghzport/scenario.py",
+           "if len(phase_rows) == particles:", "if phase_rows:",
+           BRANCH.format("a bad row and no settings")),
+    Mutant("the bool check on class is dropped", "src/ghzport/scenario.py",
+           "if isinstance(klass, bool) or not isinstance(klass, int):",
+           "if not isinstance(klass, int):", BRANCH.format("class true")),
+    Mutant("the bool check on a setting index is dropped", "src/ghzport/scenario.py",
+           "if isinstance(index, bool) or not isinstance(index, int) or index < 1:",
+           "if not isinstance(index, int) or index < 1:", BRANCH.format("index true")),
+    Mutant("a pattern index one past its station's catalog is accepted",
+           "src/ghzport/scenario.py", "if limit is not None and index > limit:",
+           "if limit is not None and index > limit + 1:",
+           VALIDATION + "test_constraint_pattern_validation"),
     Mutant("exact class rounds up", "src/ghzport/closed.py",
            "Residue(numerators[0] * ports // denominator, ports)",
            "Residue(-(-numerators[0] * ports // denominator), ports)",
