@@ -120,16 +120,13 @@ class Residue(_Record):
             raise ValueError(f"residue value must be an integer, got {value!r}")
         self.__dict__.update(value=value % modulus, modulus=modulus)
 
-    def _require_same_modulus(self, other: "Residue") -> None:
+    def __add__(self, other: "Residue") -> "Residue":
+        if not isinstance(other, Residue):
+            return NotImplemented
         if self.modulus != other.modulus:
             raise ValueError(
                 f"cannot combine residues with moduli {self.modulus} and {other.modulus}"
             )
-
-    def __add__(self, other: "Residue") -> "Residue":
-        if not isinstance(other, Residue):
-            return NotImplemented
-        self._require_same_modulus(other)
         return Residue(self.value + other.value, self.modulus)
 
     def __neg__(self) -> "Residue":
@@ -138,8 +135,7 @@ class Residue(_Record):
     def __sub__(self, other: "Residue") -> "Residue":
         if not isinstance(other, Residue):
             return NotImplemented
-        self._require_same_modulus(other)
-        return Residue(self.value - other.value, self.modulus)
+        return self + (-other)
 
     def to_complex(self) -> complex:
         """The root of unity this residue stands for."""

@@ -140,28 +140,25 @@ def _closed_form_exponents(settings: PhaseSettings):
     """The M closed-form exponents sum_l (phi_l^m - phi_l^(m+1)), one per m.
 
     The wraparound column m = M-1 uses phi^M - phi^1, so the exponents
-    telescope to zero modulo one turn. When every phase is exact, returns
-    ``(numerators, D)``: exponent m is numerators[m]/D of a turn in [0, 1),
-    over the lcm D of the phase denominators, taken from the column sums S_m
-    as (S_m - S_(m+1)) mod D. One pass over each distinct row object reads
-    its entries' integer pairs, which are scaled to D and multiplied by the
-    number of stations that hold the row; S_m adds one such integer vector
-    per distinct row, which is exactly the sum over all N stations. A table
-    with an entry that has no exact part gives ``(phases, None)``: the M unit
-    phases exp(i * exponent) on the floating track.
+    telescope to zero modulo one turn. A float entry's denominator is None,
+    and a None among the distinct rows' denominators (the test ``all_exact``
+    makes) gives ``(phases, None)``: the M unit phases exp(i * exponent) on
+    the floating track. Otherwise returns ``(numerators, D)``: exponent m is
+    numerators[m]/D of a turn in [0, 1), over the lcm D of the denominators,
+    taken from the column sums S_m as (S_m - S_(m+1)) mod D. Each exact entry
+    is scaled to D from its own numerator and denominator, times the number
+    of stations that hold its row; S_m adds one such integer vector per
+    distinct row, which is exactly the sum over all N stations.
     """
     distinct = _distinct(settings.rows)
-    # a float entry's denominator is None; a float row shows it in its first
-    # entry, and such a row is not read further
-    ratios = [([(a.numerator, a.denominator) for a in row], held)
-              for row, held in distinct if row[0].denominator is not None]
-    denominators = {q for row, _ in ratios for _, q in row}
-    if len(ratios) < len(distinct) or None in denominators:
+    denominators = {a.denominator for row, _ in distinct for a in row}
+    if None in denominators:
         phi = settings.float_matrix()
         deltas = phi - np.roll(phi, -1, axis=1)
         return np.exp(1j * deltas.sum(axis=0)), None
     denominator = math.lcm(*denominators)
-    scaled = [[held * p * (denominator // q) for p, q in row] for row, held in ratios]
+    scaled = [[held * a.numerator * (denominator // a.denominator) for a in row]
+              for row, held in distinct]
     sums = [sum(column) for column in zip(*scaled)]
     numerators = [(s - t) % denominator for s, t in zip(sums, sums[1:] + sums[:1])]
     if denominator > _INT64_MAX:  # only then can a reduced exponent leave the range

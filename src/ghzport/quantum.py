@@ -125,28 +125,28 @@ def _class_tables(cfg: ExperimentConfig) -> Tuple[np.ndarray, np.ndarray]:
     """(low, high): digit-sum classes of the last N // 2 and the first
     N - N // 2 digits, the halves ``_table_rows`` labels. Outcome
     i = h * len(low) + j (lex index) lies in class (high[h] + low[j]) mod M;
-    sampling reads them to fix each draw's last digit."""
+    sampling reads them to fix each draw's last digit, and probability rows
+    to find their class."""
     low_digits = cfg.particles // 2
     return (_digit_sums(low_digits, cfg.ports),
             _digit_sums(cfg.particles - low_digits, cfg.ports))
 
 
 def _half_labels(values, digits: int, labels, lead: str):
-    """Label text and digit sum of each half value: its ``digits`` detector
-    labels, digit k read as labels[k], each after ", " but the first after
-    ``lead``."""
-    text, sums = np.full(len(values), "", dtype=object), np.zeros(len(values), dtype=np.intp)
+    """Label text of each half value: its ``digits`` detector labels, digit
+    k read as labels[k], each after ", " but the first after ``lead``."""
+    text = np.full(len(values), "", dtype=object)
     for place in range(digits, 0, -1):  # least significant digit first
         values, column = np.divmod(values, len(labels))
         text = (lead if place == 1 else ", ") + labels[column] + text
-        sums += column
-    return text, sums
+    return text
 
 
 def _table_rows(cfg, head: str, tail, index=None, values=None):
     """One string per block of _BLOCK rows: for each ascending lex index
     (every outcome when ``index`` is None), head + 1-based detector labels +
-    tail(v), v being the row's entry of ``values`` or else its class.
+    tail(v), v being the row's entry of ``values`` or else its class, read
+    from ``_class_tables`` (built only then).
 
     An index splits into a high and a low half of its digits. The M label
     strings are formatted once, and every low half value (at most sqrt(M**N))
@@ -156,16 +156,18 @@ def _table_rows(cfg, head: str, tail, index=None, values=None):
     ports, low_digits = cfg.ports, cfg.particles // 2
     width = ports**low_digits
     labels = np.array([str(k + 1) for k in range(ports)], dtype=object)
-    low_text, low_sums = _half_labels(np.arange(width), low_digits, labels, ", ")
+    low_text = _half_labels(np.arange(width), low_digits, labels, ", ")
+    if values is None:
+        low_sums, high_sums = _class_tables(cfg)
     total = cfg.outcome_count if index is None else len(index)
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
         block = np.arange(start, stop) if index is None else index[start:stop]
-        keys, high = np.unique(block // width, return_inverse=True)
-        high_text, high_sums = _half_labels(keys, cfg.particles - low_digits, labels, head)
-        low = block % width
+        upper, low = np.divmod(block, width)
+        keys, high = np.unique(upper, return_inverse=True)
+        high_text = _half_labels(keys, cfg.particles - low_digits, labels, head)
         if values is None:
-            keys = (high_sums[high] + low_sums[low]) % ports
+            keys = (high_sums[upper] + low_sums[low]) % ports
         else:
             keys = values[start:stop]
         keys, pick = np.unique(keys, return_inverse=True)

@@ -181,6 +181,17 @@ def enumerate_models(setting_counts, ports, constraints):
     return count, first
 
 
+def solve_congruences(rows, cells, modulus):
+    """Every x in Z_modulus^cells with a_1 x_1 + ... + a_cells x_cells = b
+    (mod modulus) for each row [b, a_1, ..., a_cells], by enumeration."""
+    solutions = []
+    for x in itertools.product(range(modulus), repeat=cells):
+        if all((sum(a * v for a, v in zip(row[1:], x)) - row[0]) % modulus == 0
+               for row in rows):
+            solutions.append(x)
+    return solutions
+
+
 def multiplied_constraints(stations, ports, constraints):
     """The value forced by multiplying (pattern, required) constraints side
     by side: (pattern, residue) or None.

@@ -257,6 +257,11 @@ class TestFractionGrammar:
             PhaseAngle(0.5, 1, 9)
         assert PhaseAngle(TAU / 3, 1, 3) == PhaseAngle.from_turns(Fraction(1, 3))
 
+    def test_radians_agree_with_the_pair_to_within_1e_12(self):
+        with pytest.raises(ValueError, match="inconsistent with 1/3 of a turn"):
+            PhaseAngle(TAU / 3 + 1e-9, 1, 3)
+        assert PhaseAngle(TAU / 3 + 1e-13, 1, 3).numerator == 1
+
 
 def test_root_of_unity_matches_cmath():
     for modulus in range(2, 20):

@@ -18,6 +18,7 @@ from ghzport.lhv import (
     DeterministicModel,
     ForcedValue,
     SettingsCatalog,
+    _echelon,
     count_satisfying,
     ghz_forced_value,
     model_value,
@@ -293,6 +294,36 @@ class TestCountSatisfying:
         result = count_satisfying(blank_catalog(ports, counts), constraints)
         assert result.count == expected
         assert (result.witness and result.witness.assignments) == first
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows [b, a_1, ..., a_cells], cells, q): 0 to 4 rows of integers of
+    either sign, not only 0/1, modulo a prime power q."""
+    q = draw(st.sampled_from((4, 8, 9, 27)))
+    cells = draw(st.integers(1, 3))
+    entry = st.integers(-2 * q, 2 * q)
+    rows = draw(st.lists(st.lists(entry, min_size=cells + 1, max_size=cells + 1),
+                         max_size=4))
+    return rows, cells, q
+
+
+class TestEchelon:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_systems())
+    @example(([[2, 2], [1, 1]], 1, 4))  # 2x = 2 and x = 1: the pivot of least valuation
+    def test_pivots_count_the_solutions(self, system):
+        rows, cells, q = system
+        solutions = oracles.solve_congruences(rows, cells, q)
+        echelon = _echelon(rows, cells, q)
+        if not solutions:
+            assert echelon is None
+            return
+        assert echelon is not None
+        count = 1
+        for row in echelon:
+            count *= q if row is None else row[-1]
+        assert count == len(solutions)
 
 
 def timed_count(catalog, constraints):

@@ -16,6 +16,7 @@ import oracles
 from ghzport import quantum
 from ghzport.angles import PROBABILITY_TOLERANCE, TAU, PhaseAngle, Residue
 from ghzport.closed import (
+    CorrelationValue,
     _closed_form_exponents,
     perfect_correlation_class,
     predict_last,
@@ -445,6 +446,21 @@ class TestCorrelation:
         assert result.exact_class == Residue(0, 3)
         assert result.value == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("particles, ports", [(2, 4), (3, 3)])
+    def test_settings_of_another_shape_are_rejected(self, particles, ports):
+        cfg = ExperimentConfig(2, 3)
+        message = f"^settings shape {particles}x{ports} does not match configuration 2x3$"
+        for call in (correlation_closed, perfect_correlation_class, full_distribution):
+            with pytest.raises(ValueError, match=message):
+                call(cfg, zero_settings(particles, ports))
+
+    def test_modulus_past_one_by_more_than_1e_12_is_rejected(self):
+        with pytest.raises(ValueError, match="^correlation modulus .* exceeds 1$"):
+            CorrelationValue(1.0 + 1e-9)
+        with pytest.raises(ValueError, match="^correlation modulus .* exceeds 1$"):
+            CorrelationValue((1.0 + 1e-9) * 1j)
+        assert CorrelationValue(1.0 + 1e-13).value == 1.0 + 1e-13
+
     def test_closed_without_exact_inputs_has_no_class(self):
         result = correlation_closed(ExperimentConfig(4, 3), paradox_swap_settings(exact=False))
         assert result.exact_class is None
@@ -622,6 +638,31 @@ def shared_row_tables(draw):
     return ports, rows
 
 
+def with_float_entry(row, port):
+    """The row with its entry at ``port`` replaced by its float-only twin."""
+    return tuple(PhaseAngle(a.radians) if m == port else a for m, a in enumerate(row))
+
+
+@st.composite
+def track_tables(draw):
+    """(M, rows) from ``shared_row_tables``, half the time with one entry
+    made float-only: at a row's first, a middle or its last port, in the row
+    object of every station that holds it or of one station alone."""
+    ports, rows = draw(shared_row_tables())
+    if draw(st.booleans()):
+        station = draw(st.integers(0, len(rows) - 1))
+        target = rows[station]
+        twin = with_float_entry(target, draw(st.sampled_from((0, ports // 2, ports - 1))))
+        if draw(st.booleans()):
+            rows = [twin if row is target else row for row in rows]
+        else:
+            rows[station] = twin
+    return ports, rows
+
+
+GRADED, _, _, ZEROS = paradox_swap_settings().rows
+
+
 class CountingRow(tuple):
     """A settings row that counts how often it is iterated."""
 
@@ -699,6 +740,22 @@ class TestClosedFormOracle:
         assert denominator is None
         expected = [cmath.exp(1j * TAU * float(e)) for e in want]
         assert np.allclose(phases, expected, rtol=0, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(track_tables())
+    @example((3, [with_float_entry(GRADED, 0)] * 3 + [ZEROS]))
+    @example((3, [with_float_entry(GRADED, 1)] * 3 + [ZEROS]))
+    @example((3, [GRADED] * 3 + [with_float_entry(ZEROS, 2)]))
+    @example((3, [GRADED, GRADED, with_float_entry(GRADED, 2), ZEROS]))
+    def test_the_float_track_is_taken_exactly_when_an_entry_is_not_exact(self, table):
+        ports, rows = table
+        phases = PhaseSettings(tuple(rows))
+        try:
+            denominator = _closed_form_exponents(phases)[1]
+        except RationalOverflowError:  # raised on the exact track only
+            assert phases.all_exact
+        else:
+            assert (denominator is None) == (not phases.all_exact)
 
     def test_shared_row_is_read_once(self):
         # 64 stations on one row object cost the same reads as 2 stations

@@ -5,8 +5,9 @@ Usage: python tools/mutants.py [NAME ...]
 
 Each entry of ``MUTANTS`` names a file of the tree, an exact piece of its
 text, the replacement, and the check that should kill it: a pytest node id.
-For each entry (or each one named), alone, the tool copies the tree to a
-temporary directory, applies the replacement and runs the check there with
+First the tool runs each distinct check once on an unmutated copy of the
+tree. Then, for each entry (or each one named), alone, it copies the tree to
+a temporary directory, applies the replacement and runs the check there with
 pytest. If the check passes, it also runs tier-1 with ``-x``, to see whether
 another test kills the mutant. Each entry is reported as:
 
@@ -17,13 +18,17 @@ another test kills the mutant. Each entry is reported as:
     check passes; tier-1 is not run. If the check fails instead, the entry
     is reported as killed and the reason is wrong;
   - stale: its old text no longer occurs exactly once in the file. A stale
-    entry is rewritten for the new code, not dropped.
+    entry is rewritten for the new code, not dropped;
+  - broken: its check does not pass on the unmutated tree (pytest's exit
+    code is shown: 1 for a failing test, 4 for a node id that is not found,
+    5 for one that collects nothing), or its new text equals its old, so a
+    failing check would not show that the mutant was caught.
 
-The tool exits 1 when a mutant survived or is stale, or an equivalent one
-was killed. Every child runs with PYTHONDONTWRITEBYTECODE=1 and the copy's
-``src`` on PYTHONPATH; the working tree is never written to. This is not a
-tier-1 test: a change to a module that an entry covers runs it and states
-the report.
+The tool exits 1 when a mutant survived, is stale or broken, or an
+equivalent one was killed. Every child runs with PYTHONDONTWRITEBYTECODE=1
+and the copy's ``src`` on PYTHONPATH; the working tree is never written to.
+This is not a tier-1 test: a change to a module that an entry covers runs it
+and states the report.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ class Mutant(NamedTuple):
 
 READER = "tests/test_cli.py::TestPlainReader::test_reader_agrees_with_argparse"
 CLOSED = "tests/test_quantum.py::TestClosedFormOracle::"
+CORRELATION = "tests/test_quantum.py::TestCorrelation::"
+PAIR = "tests/test_angles.py::TestFractionGrammar::"
 ELIMINATION = "tests/test_lhv.py::TestCountSatisfying::test_elimination_matches_oracle"
 FORCED = "tests/test_lhv.py::TestForcedValue::"
 VALIDATION = "tests/test_scenario.py::TestValidation::"
@@ -148,6 +155,51 @@ MUTANTS = (
            "src/ghzport/scenario.py", "if limit is not None and index > limit:",
            "if limit is not None and index > limit + 1:",
            VALIDATION + "test_constraint_pattern_validation"),
+    Mutant("echelon takes the first nonzero pivot, not the least valuation",
+           "src/ghzport/lhv.py",
+           "chosen = min(rows, key=lambda row: gcd(row[-1], q), default=None)",
+           "chosen = next((row for row in rows if row[-1] % q), None)",
+           "tests/test_lhv.py::TestEchelon::test_pivots_count_the_solutions"),
+    Mutant("PhaseAngle drops its gcd check", "src/ghzport/angles.py",
+           "if math.gcd(numerator, denominator) != 1:", "if False:",
+           PAIR + "test_the_pair_is_checked_and_the_field_named"),
+    Mutant("PhaseAngle's radians bound loosened to 1e-3", "src/ghzport/angles.py",
+           "(numerator / denominator)) >= 1e-12:", "(numerator / denominator)) >= 1e-3:",
+           PAIR + "test_radians_agree_with_the_pair_to_within_1e_12"),
+    Mutant("from_ratio's 64-bit guard doubled", "src/ghzport/angles.py",
+           "if denominator > _INT64_MAX:  # the wrapped",
+           "if denominator > 2 * _INT64_MAX:  # the wrapped", PAIR + "test_spellings"),
+    Mutant("Residue addition drops its modulus check", "src/ghzport/angles.py",
+           "if self.modulus != other.modulus:", "if False:",
+           "tests/test_angles.py::TestResidue::test_subtraction_reduces_mod_m"),
+    Mutant("Residue subtraction adds without negating", "src/ghzport/angles.py",
+           "Residue):\n            return NotImplemented\n        return self + (-other)",
+           "Residue):\n            return NotImplemented\n        return self + other",
+           "tests/test_angles.py::TestResidue::test_subtraction_reduces_mod_m"),
+    Mutant("CorrelationValue's modulus guard loosened to 1e-6", "src/ghzport/closed.py",
+           "if abs(value) > 1.0 + 1e-12:", "if abs(value) > 1.0 + 1e-6:",
+           CORRELATION + "test_modulus_past_one_by_more_than_1e_12_is_rejected"),
+    Mutant("_check_settings ignores the ports", "src/ghzport/closed.py",
+           "if settings.particles != cfg.particles or settings.ports != cfg.ports:",
+           "if settings.particles != cfg.particles:",
+           CORRELATION + "test_settings_of_another_shape_are_rejected"),
+    Mutant("the track test reads only each row's first entry", "src/ghzport/closed.py",
+           "denominators = {a.denominator for row, _ in distinct for a in row}",
+           "denominators = {a.denominator for row, _ in distinct for a in row[:1]}",
+           CLOSED + "test_the_float_track_is_taken_exactly_when_an_entry_is_not_exact"),
+    Mutant("ENUMERATION_GUARD multiplied by 10", "src/ghzport/quantum.py",
+           "ENUMERATION_GUARD = 10**7", "ENUMERATION_GUARD = 10**8",
+           "tests/test_quantum.py::TestFullDistribution::test_enumeration_guard"),
+    Mutant("MODEL_GUARD multiplied by 10", "src/ghzport/lhv.py",
+           "MODEL_GUARD = 10**8", "MODEL_GUARD = 10**9",
+           "tests/test_lhv.py::TestCountSatisfying::test_guard"),
+    Mutant("validate_pattern accepts an index one past its station", "src/ghzport/lhv.py",
+           "if not _is_index(index, len(self.station_settings[station])):",
+           "if not _is_index(index, len(self.station_settings[station]) + 1):",
+           "tests/test_lhv.py::TestPatternChecks::test_entry_points_reject"),
+    Mutant("probability rows read the low half's class only", "src/ghzport/quantum.py",
+           "keys = (high_sums[upper] + low_sums[low]) % ports", "keys = low_sums[low] % ports",
+           "tests/test_cli.py::TestRendering::test_probability_rows"),
     Mutant("exact class rounds up", "src/ghzport/closed.py",
            "Residue(numerators[0] * ports // denominator, ports)",
            "Residue(-(-numerators[0] * ports // denominator), ports)",
@@ -159,31 +211,36 @@ IGNORED = shutil.ignore_patterns(".git", ".hypothesis", ".perfbench_runs", ".ben
                                  ".pytest_cache", "__pycache__")
 
 
-def _pytest(tree: Path, *args) -> bool:
-    """True when ``python -m pytest -q -x *args`` passes in the tree."""
+def _pytest(tree: Path, *args) -> int:
+    """The exit code of ``python -m pytest -q -x *args`` in the tree."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                            *args], cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL)
-    return done.returncode == 0
+    return done.returncode
 
 
-def verdict(mutant: Mutant, workdir: Path) -> str:
-    """Run one mutant in a fresh copy of the tree under ``workdir``."""
+def verdict(mutant: Mutant, workdir: Path, unmutated: dict) -> str:
+    """Run one mutant in a fresh copy of the tree under ``workdir``;
+    ``unmutated`` maps each check to its exit code on the unmutated tree."""
     text = (ROOT / mutant.file).read_text(encoding="utf-8")
     if text.count(mutant.old) != 1:
         return "stale"
+    if mutant.new == mutant.old:
+        return "broken (new text equals old)"
+    if unmutated[mutant.check]:
+        return f"broken (check exits {unmutated[mutant.check]} unmutated)"
     tree = workdir / "tree"
     shutil.rmtree(tree, ignore_errors=True)
     shutil.copytree(ROOT, tree, ignore=IGNORED)
     (tree / mutant.file).write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-    if not _pytest(tree, mutant.check):
+    if _pytest(tree, mutant.check):
         return "killed"
     if mutant.equivalent:
         return "equivalent"
-    return "survived" if _pytest(tree) else "killed elsewhere"
+    return "killed elsewhere" if _pytest(tree) else "survived"
 
 
 def main(argv=None) -> int:
@@ -195,13 +252,16 @@ def main(argv=None) -> int:
         return 2
     failing = 0
     with tempfile.TemporaryDirectory(prefix="ghzport-mutants-") as workdir:
+        tree = Path(workdir) / "unmutated"
+        shutil.copytree(ROOT, tree, ignore=IGNORED)
+        unmutated = {check: _pytest(tree, check) for check in {m.check for m in chosen}}
         for mutant in chosen:
-            result = verdict(mutant, Path(workdir))
-            failing += result in ("survived", "stale") or (
+            result = verdict(mutant, Path(workdir), unmutated)
+            failing += result.startswith(("survived", "stale", "broken")) or (
                 result == "killed" and bool(mutant.equivalent))
             reason = f": {mutant.equivalent}" if mutant.equivalent else ""
             print(f"{result}: {mutant.name} ({mutant.file}){reason}", flush=True)
-    print(f"{len(chosen)} mutants, {failing} survived, stale or wrongly equivalent")
+    print(f"{len(chosen)} mutants, {failing} survived, stale, broken or wrongly equivalent")
     return 1 if failing else 0
 
 
