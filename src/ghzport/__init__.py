@@ -16,12 +16,12 @@ _EXPORTS = {name: module for module, names in (
     ("errors", "ComputationIntegrityError GhzportError RationalOverflowError "
                "ResourceLimitError ScenarioError"),
     ("lhv", "Constraint CountResult DeterministicModel ForcedValue SettingsCatalog "
-            "count_satisfying ghz_forced_value model_value satisfies"),
+            "count_satisfying ghz_forced_value"),
     ("multiport", "MultiportMatrix bell_multiport transmit verify_unitarity"),
     ("paradox", "ContradictionReport ParadoxExperiment ParadoxScenario build_scenario "
                 "run_paradox run_scenario verify_quantum"),
     ("quantum", "OutcomeDistribution SampleResult correlation_brute full_distribution "
-                "joint_amplitude joint_probability sample_outcomes"),
+                "sample_outcomes"),
     ("scenario", "SamplingSpec Scenario parse_scenario parse_scenario_data"),
 ) for name in names.split()}
 

@@ -2,12 +2,13 @@
 
 Angles that are rational multiples of a full turn are tracked exactly as a
 reduced integer pair p/q of a turn (in units of 2*pi) alongside their floating
-radian value, and arithmetic keeps the exact track alive whenever both
-operands carry it. "p/q" strings are read with the grammar of
-``fractions.Fraction`` but on plain ints, so no command imports ``fractions``.
-Detector labels and correlation classes are residues modulo the port count M;
-a residue k stands for the unit complex number exp(2*pi*i*k/M), the value
-ascribed to a click behind output port k (0-based internally).
+radian value, and the sum of two angles stays exact when both are. "p/q"
+strings are read with the grammar of ``fractions.Fraction`` but on plain
+ints, so the package never imports ``fractions``. Correlation classes are
+residues modulo the port count M; a residue k stands for the unit complex
+number exp(2*pi*i*k/M), the value ascribed to a click behind output port k
+(0-based internally). A ``Residue`` is a record only: the code that computes
+a class does its arithmetic on plain ints.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ class _Record:
 class Residue(_Record):
     """An integer modulo M, the exact currency of outcomes and classes.
 
-    ``Residue(k, M)`` names the root of unity exp(2*pi*i*k/M). Addition and
-    negation reduce modulo M, mirroring multiplication of the underlying unit
-    complex numbers.
+    ``Residue(k, M)`` names the root of unity exp(2*pi*i*k/M); the value is
+    reduced modulo M on construction. It is a record, compared and printed,
+    with no arithmetic of its own.
     """
 
     _fields = ("value", "modulus")
@@ -119,27 +120,6 @@ class Residue(_Record):
         if not isinstance(value, int):
             raise ValueError(f"residue value must be an integer, got {value!r}")
         self.__dict__.update(value=value % modulus, modulus=modulus)
-
-    def __add__(self, other: "Residue") -> "Residue":
-        if not isinstance(other, Residue):
-            return NotImplemented
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"cannot combine residues with moduli {self.modulus} and {other.modulus}"
-            )
-        return Residue(self.value + other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        if not isinstance(other, Residue):
-            return NotImplemented
-        return self + (-other)
-
-    def to_complex(self) -> complex:
-        """The root of unity this residue stands for."""
-        return root_of_unity(self.value, self.modulus)
 
     def symbol(self) -> str:
         """Human-facing name of the class, e.g. ``γ_3^2``."""
@@ -217,16 +197,6 @@ class PhaseAngle(_Record):
     def is_exact(self) -> bool:
         return self.denominator is not None
 
-    @property
-    def turns(self):
-        """The exact angle as a ``fractions.Fraction`` of a turn, or None on
-        the floating track; built when read, and read by no command."""
-        if self.denominator is None:
-            return None
-        from fractions import Fraction  # the package's one use of fractions
-
-        return Fraction(self.numerator, self.denominator)
-
     def __add__(self, other: "PhaseAngle") -> "PhaseAngle":
         if not isinstance(other, PhaseAngle):
             return NotImplemented
@@ -235,40 +205,6 @@ class PhaseAngle(_Record):
                 self.numerator * other.denominator + other.numerator * self.denominator,
                 self.denominator * other.denominator)
         return PhaseAngle.from_radians(self.radians + other.radians)
-
-    def __neg__(self) -> "PhaseAngle":
-        if self.denominator is not None:
-            return PhaseAngle.from_ratio(-self.numerator, self.denominator)
-        return PhaseAngle.from_radians(-self.radians)
-
-    def __sub__(self, other: "PhaseAngle") -> "PhaseAngle":
-        if not isinstance(other, PhaseAngle):
-            return NotImplemented
-        return self + (-other)
-
-    def as_residue(self, modulus: int, tol: float = UNIT_TOLERANCE) -> Optional[Residue]:
-        """Recognize the angle as 2*pi*k/M and return k, or None.
-
-        The exact track decides by arithmetic; the floating track accepts a
-        radian distance up to ``tol`` from the nearest multiple of 2*pi/M.
-        """
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if self.denominator is not None:
-            k, remainder = divmod(self.numerator * modulus, self.denominator)
-            return Residue(k, modulus) if remainder == 0 else None
-        step = TAU / modulus
-        nearest = round(self.radians / step)
-        if abs(self.radians - nearest * step) <= tol:
-            return Residue(nearest % modulus, modulus)
-        return None
-
-    def describe(self) -> str:
-        """Radians to 12 significant digits, plus the exact form when present."""
-        text = f"{self.radians:.12g}"
-        if self.denominator is not None:
-            text += f" ({self.numerator}/{self.denominator} of 2*pi)"
-        return text
 
 
 def angle_to_json(angle: PhaseAngle):

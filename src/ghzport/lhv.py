@@ -2,11 +2,11 @@
 
 A deterministic model assigns, to every (station, local setting) pair, one of
 the M Bell numbers; residues mod M carry the whole arithmetic since the
-product of assigned values is the sum of their exponents. The module can
-evaluate models against perfect-correlation constraints, count exactly, over
-every model, those satisfying a constraint set (by elimination of the system
-A x = b over each prime power of M), and derive the value forced on one
-pattern as the sum of the system's rows. Each entry point validates the
+product of assigned values is the sum of their exponents. The module counts
+exactly, over every model, those satisfying a set of perfect-correlation
+constraints (by elimination of the system A x = b over each prime power of
+M), with the first such model as a witness, and derives the value forced on
+one pattern as the sum of the system's rows. Each entry point validates the
 patterns it is given on every call; nothing is kept between calls.
 """
 
@@ -121,29 +121,6 @@ class CountResult(_Record):
 
     def __init__(self, count: int, witness: Optional[DeterministicModel]):
         self.__dict__.update(count=count, witness=witness)
-
-
-def model_value(model: DeterministicModel, pattern: Sequence[int]) -> Residue:
-    """Residue of the Bell-number product the model predicts on a pattern."""
-    indices = tuple(pattern)
-    if len(indices) != len(model.assignments):
-        raise ValueError(
-            f"pattern has {len(indices)} entries, expected {len(model.assignments)}"
-        )
-    total = 0
-    for station, setting in enumerate(indices):
-        values = model.assignments[station]
-        if not _is_index(setting, len(values)):
-            raise ValueError(
-                f"station {station + 1} setting index {setting!r} out of range"
-            )
-        total += values[setting]
-    return Residue(total, model.ports)
-
-
-def satisfies(model: DeterministicModel, constraints: Sequence[Constraint]) -> bool:
-    """True iff the model meets every constraint."""
-    return all(model_value(model, c.pattern) == c.required for c in constraints)
 
 
 def _system(catalog, constraints):

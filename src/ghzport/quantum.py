@@ -177,26 +177,6 @@ def _table_rows(cfg, head: str, tail, index=None, values=None):
         yield "".join(parts.ravel().tolist())
 
 
-def joint_amplitude(cfg: ExperimentConfig, settings: PhaseSettings, outcome) -> complex:
-    """Amplitude whose squared modulus is the joint detection probability."""
-    _check_settings(cfg, settings)
-    detectors = _check_outcome(cfg, outcome)
-    amps = _class_amplitudes(settings.float_matrix(), cfg.ports)
-    return complex(amps[sum(detectors) % cfg.ports])
-
-
-def joint_probability(
-    cfg: ExperimentConfig,
-    settings: PhaseSettings,
-    outcome,
-) -> float:
-    """Probability of one joint detection event, cross-checked on both routes."""
-    _check_settings(cfg, settings)
-    detectors = _check_outcome(cfg, outcome)
-    probs = _checked_class_probabilities(settings.float_matrix(), cfg.ports)
-    return float(probs[sum(detectors) % cfg.ports])
-
-
 class OutcomeDistribution(Mapping):
     """The complete probability table over all M**N outcome tuples, implicit.
 

@@ -11,8 +11,9 @@ def _symbol(klass) -> str:
 
 
 def _angle_text(entry) -> str:
-    """``PhaseAngle.describe`` of an echoed angle, read without parsing it:
-    a reduced "p/q" string of a turn, or a float of radians in [0, 2*pi)."""
+    """An echoed angle, a reduced "p/q" string of a turn or a float of radians
+    in [0, 2*pi), read without parsing it: radians to 12 significant digits,
+    then "(p/q of 2*pi)" when exact."""
     if isinstance(entry, str):
         numerator, denominator = map(int, entry.split("/"))
         return f"{_turns_radians(numerator, denominator):.12g} ({entry} of 2*pi)"

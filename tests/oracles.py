@@ -15,6 +15,33 @@ import numpy as np
 TAU = 2.0 * math.pi
 
 
+def turns(angle):
+    """A PhaseAngle's exact fraction of a turn, read from its numerator and
+    denominator fields as a Fraction; None on the floating track."""
+    if angle.denominator is None:
+        return None
+    return Fraction(angle.numerator, angle.denominator)
+
+
+def describe(angle):
+    """A PhaseAngle written out as the text header echoes it: radians to 12
+    significant digits, then " (p/q of 2*pi)" from its fields when exact."""
+    text = "%.12g" % angle.radians
+    if angle.denominator is not None:
+        text += " (%d/%d of 2*pi)" % (angle.numerator, angle.denominator)
+    return text
+
+
+def model_value(assignments, pattern, ports):
+    """The residue a deterministic model predicts on a setting pattern: the
+    sum of the pattern's cells, assignments[l][pattern[l]] over every station
+    l, mod M."""
+    total = 0
+    for station, setting in enumerate(pattern):
+        total += assignments[station][setting]
+    return total % ports
+
+
 def naive_amplitude(phi_rows, ports, outcome):
     """(1/sqrt(M))^(N+1) * sum_m exp(i sum_l phi_l^m) * prod_n gamma^(m*k_n)."""
     particles = len(phi_rows)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import ghzport.__main__ as entry
 import ghzport.cli as cli
 import ghzport.quantum as quantum
@@ -325,11 +326,11 @@ class TestRendering:
 
 class TestAngleText:
     """text._angle_text formats an echoed angle from its parts and must read
-    exactly as parsing it again and describing it."""
+    exactly as parsing it again and writing the parsed angle out."""
 
     @staticmethod
     def assert_reads_as_parsed(entry):
-        assert _angle_text(entry) == PhaseAngle.parse(entry).describe()
+        assert _angle_text(entry) == oracles.describe(PhaseAngle.parse(entry))
 
     def test_every_bundled_phase(self):
         entries = []

@@ -21,10 +21,8 @@ from ghzport.lhv import (
     _echelon,
     count_satisfying,
     ghz_forced_value,
-    model_value,
-    satisfies,
 )
-from ghzport.quantum import ExperimentConfig, PhaseSettings, joint_amplitude
+from ghzport.quantum import ExperimentConfig, PhaseSettings, full_distribution
 
 
 def paradox_catalog():
@@ -132,33 +130,19 @@ ORACLE_CASES = [
 ]
 
 
+def meets(model, constraints):
+    """True iff the oracle's evaluator gives the model each constraint's
+    required residue."""
+    return all(oracles.model_value(model.assignments, c.pattern, model.ports)
+               == c.required.value for c in constraints)
+
+
 def swap_constraints(particles=4, ports=3, required=2):
     return [
         Constraint(tuple(1 if l == k else 0 for l in range(particles)),
                    Residue(required, ports))
         for k in range(particles)
     ]
-
-
-class TestModelValue:
-    def test_all_zero_model(self):
-        model = DeterministicModel(3, ((0, 0), (0, 0), (0, 0), (0, 0)))
-        assert model_value(model, (0, 1, 0, 1)) == Residue(0, 3)
-
-    def test_single_alpha_squared(self):
-        model = DeterministicModel(3, ((2,), (0,), (0,), (0,)))
-        assert model_value(model, (0, 0, 0, 0)) == Residue(2, 3)
-
-    def test_sum_reduces(self):
-        model = DeterministicModel(3, ((1,), (1,), (1,), (2,)))
-        assert model_value(model, (0, 0, 0, 0)) == Residue(2, 3)
-
-    def test_bad_pattern_rejected(self):
-        model = DeterministicModel(3, ((0, 0), (0, 0)))
-        with pytest.raises(ValueError):
-            model_value(model, (0, 2))
-        with pytest.raises(ValueError):
-            model_value(model, (0,))
 
 
 @pytest.mark.parametrize("index, accepted", [
@@ -171,10 +155,10 @@ def test_index_checks_accept_the_same_integer_kinds(index, accepted):
     numpy bools, floats, fractions and strings are not."""
     zeros = (PhaseAngle(0.0),) * 2
     catalog = SettingsCatalog(2, ((zeros, zeros),) * 2)
+    distribution = full_distribution(ExperimentConfig(2, 2), PhaseSettings((zeros,) * 2))
     checks = [
         lambda: catalog.validate_pattern((0, index)),
-        lambda: model_value(DeterministicModel(2, ((0, 1), (1, 1))), (0, index)),
-        lambda: joint_amplitude(ExperimentConfig(2, 2), PhaseSettings((zeros,) * 2), (0, index)),
+        lambda: distribution[(0, index)],
         lambda: predict_last(Residue(0, 2), (0, index)),
     ]
     for check in checks:
@@ -185,20 +169,19 @@ def test_index_checks_accept_the_same_integer_kinds(index, accepted):
                 check()
 
 
-class TestSatisfies:
-    def test_forced_reference_model_meets_swaps(self):
-        # I(graded) = 0 everywhere forces I(reference) = 2 everywhere
-        model = DeterministicModel(3, ((0, 2),) * 4)
-        assert satisfies(model, swap_constraints())
+@pytest.mark.parametrize("value", [3, -1, 1.0])
+def test_model_assignments_must_be_residues(value):
+    with pytest.raises(ValueError, match=f"^station 2 assignment {value!r} is not a "
+                                         "residue mod 3$"):
+        DeterministicModel(3, ((0, 2), (1, value)))
 
-    def test_same_model_fails_all_reference(self):
-        model = DeterministicModel(3, ((0, 2),) * 4)
-        all_reference = Constraint((1, 1, 1, 1), Residue(0, 3))
-        assert not satisfies(model, [all_reference])
 
-    def test_empty_constraints(self):
-        model = DeterministicModel(3, ((1, 2),) * 4)
-        assert satisfies(model, [])
+def test_catalog_settings_of_another_length_are_rejected():
+    row = (PhaseAngle(0.0),) * 3
+    for short in (row[:2], row + row[:1]):
+        with pytest.raises(ValueError, match=f"^station 2 has a setting of {len(short)} "
+                                             "phases, expected 3$"):
+            SettingsCatalog(3, ((row,), (row, short)))
 
 
 class TestCountSatisfying:
@@ -215,7 +198,7 @@ class TestCountSatisfying:
         assert result.count == 81
         assert result.witness is not None
         assert result.witness.assignments == oracle_first
-        assert satisfies(result.witness, swaps)
+        assert meets(result.witness, swaps)
 
         full_oracle = swaps_oracle + [((1, 1, 1, 1), 0)]
         assert oracles.enumerate_models((2,) * 4, 3, full_oracle)[0] == 0
@@ -235,6 +218,28 @@ class TestCountSatisfying:
         result = count_satisfying(catalog, [])
         assert result.count == catalog.model_count == 3**8
         assert result.witness.assignments == ((0, 0),) * 4
+
+    def test_one_constraint_fixes_one_cell(self):
+        # a single constraint leaves every cell but one free: 3**7 models,
+        # the first (in the oracle's order) with 2 in station 4's graded cell
+        catalog = paradox_catalog()
+        constraint = Constraint((0, 0, 0, 0), Residue(2, 3))
+        result = count_satisfying(catalog, [constraint])
+        assert result.count == 3**7
+        oracle = oracles.enumerate_models((2,) * 4, 3, [((0, 0, 0, 0), 2)])
+        assert oracle == (3**7, ((0, 0), (0, 0), (0, 0), (2, 0)))
+        assert result.witness.assignments == oracle[1]
+        assert meets(result.witness, [constraint])
+
+    def test_swaps_force_the_reference_model_class(self):
+        # I(graded) = 0 everywhere meets every swap and gives I(reference) = 2,
+        # so the forced all-reference value keeps all 81 swap models
+        model = DeterministicModel(3, ((0, 2),) * 4)
+        swaps = swap_constraints()
+        assert meets(model, swaps)
+        assert not meets(model, [Constraint((1, 1, 1, 1), Residue(0, 3))])
+        forced = Constraint((1, 1, 1, 1), Residue(2, 3))
+        assert count_satisfying(paradox_catalog(), swaps + [forced]).count == 81
 
     def test_guard(self):
         row = (PhaseAngle.from_turns(0),) * 5
@@ -372,7 +377,7 @@ class TestGuardScale:
         assert result.count == count
         assert (result.witness and result.witness.assignments) == witness
         if witness is not None:
-            assert satisfies(result.witness, constraints)
+            assert meets(result.witness, constraints)
         assert seconds < 0.05
 
     @pytest.mark.parametrize("name", DECAPORT_CASES)
@@ -494,7 +499,8 @@ class TestForcedValue:
             model = DeterministicModel(
                 3, tuple((flat[2 * l], flat[2 * l + 1]) for l in range(4))
             )
-            if satisfies(model, swaps):
+            if meets(model, swaps):
                 hits += 1
-                assert model_value(model, forced.pattern) == forced.residue
+                value = oracles.model_value(model.assignments, forced.pattern, 3)
+                assert value == forced.residue.value
         assert hits == 81

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from ghzport.angles import PhaseAngle, Residue
 from ghzport.errors import ComputationIntegrityError
 from ghzport.lhv import SettingsCatalog
@@ -22,10 +23,10 @@ class TestBuildScenario:
     def test_four_particle_construction(self):
         scenario = build_scenario(4)
         assert scenario.ports == 3
-        assert scenario.delta.turns == Fraction(1, 9)
-        assert [a.turns for a in scenario.graded] == [
+        assert oracles.turns(scenario.delta) == Fraction(1, 9)
+        assert [oracles.turns(a) for a in scenario.graded] == [
             Fraction(0), Fraction(1, 9), Fraction(2, 9)]
-        assert all(a.turns == 0 for a in scenario.reference)
+        assert all(oracles.turns(a) == 0 for a in scenario.reference)
         assert len(scenario.experiments) == 5
         swaps = scenario.experiments[:-1]
         assert len({e.pattern for e in swaps}) == 4
@@ -36,7 +37,7 @@ class TestBuildScenario:
     def test_five_particle_classes(self):
         scenario = build_scenario(5)
         assert scenario.ports == 4
-        assert scenario.delta.turns == Fraction(1, 16)
+        assert oracles.turns(scenario.delta) == Fraction(1, 16)
         assert all(e.expected == Residue(3, 4) for e in scenario.experiments[:-1])
 
     @pytest.mark.parametrize("particles", [0, 1, 2, 3, 65])

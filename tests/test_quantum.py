@@ -37,8 +37,6 @@ from ghzport.quantum import (
     correlation_brute,
     correlation_closed,
     full_distribution,
-    joint_amplitude,
-    joint_probability,
     sample_outcomes,
 )
 
@@ -97,52 +95,64 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig(particles, ports)
 
+    @pytest.mark.parametrize("particles, ports, message", [
+        (0, 2, "particles must be an integer >= 1, got 0"),
+        (1, 1, "ports must be an integer >= 2, got 1")])
+    def test_bounds(self, particles, ports, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(particles, ports)
+        assert ExperimentConfig(1, 2).outcome_count == 2
+
+
+class TestPhaseSettings:
+    def test_rows_of_another_width_are_rejected(self):
+        row = (PhaseAngle(0.0),) * 3
+        for rows, message in (((row, row[:2]), "station 2 has 2 phases, expected 3"),
+                              ((row[:2], row), "station 2 has 3 phases, expected 2")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                PhaseSettings(rows)
+
+
+def class_amplitude(settings, outcome):
+    """The joint amplitude of one outcome: its digit-sum class's entry of
+    ``_class_amplitudes``."""
+    amps = _class_amplitudes(settings.float_matrix(), settings.ports)
+    return complex(amps[sum(outcome) % settings.ports])
+
 
 class TestJointAmplitude:
     def test_mach_zehnder_bright_port(self):
-        cfg = ExperimentConfig(1, 2)
         settings = zero_settings(1, 2)
-        assert joint_amplitude(cfg, settings, (0,)) == pytest.approx(1.0)
-        assert joint_amplitude(cfg, settings, (1,)) == pytest.approx(0.0)
+        assert class_amplitude(settings, (0,)) == pytest.approx(1.0)
+        assert class_amplitude(settings, (1,)) == pytest.approx(0.0)
 
     def test_four_particle_zero_phase_probability(self):
-        cfg = ExperimentConfig(4, 3)
-        amp = joint_amplitude(cfg, zero_settings(4, 3), (0, 0, 0, 0))
+        amp = class_amplitude(zero_settings(4, 3), (0, 0, 0, 0))
         assert abs(amp) ** 2 == pytest.approx(1 / 27, abs=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(7)
         for particles, ports in SWEEP_CONFIGS:
-            cfg = ExperimentConfig(particles, ports)
             settings = random_settings(rng, particles, ports)
             rows = [[a.radians for a in row] for row in settings.rows]
             for outcome in itertools.product(range(ports), repeat=particles):
                 expected = oracles.naive_amplitude(rows, ports, outcome)
-                assert abs(joint_amplitude(cfg, settings, outcome) - expected) < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        cfg = ExperimentConfig(2, 2)
-        with pytest.raises(ValueError):
-            joint_amplitude(cfg, zero_settings(3, 2), (0, 0))
-        with pytest.raises(ValueError):
-            joint_amplitude(cfg, zero_settings(2, 2), (0, 0, 0))
-        with pytest.raises(ValueError):
-            joint_amplitude(cfg, zero_settings(2, 2), (0, 2))
+                assert abs(class_amplitude(settings, outcome) - expected) < 1e-12
 
 
 class TestJointProbability:
     def test_anticorrelated_pair(self):
         cfg = ExperimentConfig(2, 2)
         settings = PhaseSettings.build([[0.0, 0.0], [0.0, math.pi]])
-        assert joint_probability(cfg, settings, (0, 1)) == pytest.approx(0.5)
-        assert joint_probability(cfg, settings, (0, 0)) == pytest.approx(0.0, abs=1e-15)
+        distribution = full_distribution(cfg, settings)
+        assert distribution[(0, 1)] == pytest.approx(0.5)
+        assert distribution[(0, 0)] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_phase_support(self):
         # only outcomes with detector sum = 0 mod 3 occur, each at 1/27
-        cfg = ExperimentConfig(4, 3)
-        settings = zero_settings(4, 3)
+        distribution = full_distribution(ExperimentConfig(4, 3), zero_settings(4, 3))
         for outcome in itertools.product(range(3), repeat=4):
-            p = joint_probability(cfg, settings, outcome)
+            p = distribution[outcome]
             if sum(outcome) % 3 == 0:
                 assert p == pytest.approx(1 / 27, abs=1e-12)
             else:
@@ -150,11 +160,11 @@ class TestJointProbability:
 
     def test_both_routes_match_oracles(self):
         rng = np.random.default_rng(11)
-        cfg = ExperimentConfig(3, 3)
         settings = random_settings(rng, 3, 3)
+        distribution = full_distribution(ExperimentConfig(3, 3), settings)
         rows = [[a.radians for a in row] for row in settings.rows]
         for outcome in itertools.product(range(3), repeat=3):
-            p = joint_probability(cfg, settings, outcome)
+            p = distribution[outcome]
             assert p == pytest.approx(oracles.naive_probability(rows, 3, outcome), abs=1e-12)
             assert p == pytest.approx(
                 oracles.naive_probability_cosine(rows, 3, outcome), abs=1e-10)
@@ -247,10 +257,20 @@ class TestJointProbability:
 
         monkeypatch.setattr(quantum, "_class_probabilities_cosine", broken)
         with pytest.raises(ComputationIntegrityError):
-            joint_probability(ExperimentConfig(2, 2), zero_settings(2, 2), (0, 0))
+            full_distribution(ExperimentConfig(2, 2), zero_settings(2, 2))
 
 
 class TestFullDistribution:
+    def test_shape_mismatch_rejected(self):
+        cfg = ExperimentConfig(2, 2)
+        with pytest.raises(ValueError, match="settings shape"):
+            full_distribution(cfg, zero_settings(3, 2))
+        distribution = full_distribution(cfg, zero_settings(2, 2))
+        with pytest.raises(ValueError, match="^outcome has 3 entries, expected 2$"):
+            distribution[(0, 0, 0)]
+        with pytest.raises(ValueError, match=r"^detector indices must be integers in 0\.\.1"):
+            distribution[(0, 2)]
+
     def test_single_tritter_zero_phase(self):
         dist = full_distribution(ExperimentConfig(1, 3), zero_settings(1, 3))
         assert dist[(0,)] == pytest.approx(1.0)
@@ -632,7 +652,7 @@ def shared_row_tables(draw):
     if not wide and particles > 1 and draw(st.booleans()):
         k = draw(st.integers(0, ports - 1))
         start = draw(small)
-        columns = [sum(row[m].turns for row in rows[:-1]) for m in range(ports)]
+        columns = [sum(oracles.turns(row[m]) for row in rows[:-1]) for m in range(ports)]
         rows[-1] = tuple(PhaseAngle.from_turns(start - Fraction(m * k, ports) - columns[m])
                          for m in range(ports))
     return ports, rows
@@ -679,7 +699,7 @@ class TestClosedFormOracle:
     @staticmethod
     def assert_matches_oracle(ports, phases):
         cfg = ExperimentConfig(phases.particles, ports)
-        turns = [[angle.turns for angle in row] for row in phases.rows]
+        turns = [[oracles.turns(angle) for angle in row] for row in phases.rows]
         exponents = oracles.closed_form_exponents(turns, ports)
         too_wide = [e for e in exponents if e.denominator > 2**63 - 1]
         if too_wide:
@@ -724,7 +744,8 @@ class TestClosedFormOracle:
         # shared row objects over M = 2..12, composite M included; then one
         # entry of one station becomes its float-only twin, at any position
         ports, rows = table
-        want = oracles.closed_form_exponents([[a.turns for a in row] for row in rows], ports)
+        turns = [[oracles.turns(a) for a in row] for row in rows]
+        want = oracles.closed_form_exponents(turns, ports)
         if max(e.denominator for e in want) > 2**63 - 1:
             with pytest.raises(RationalOverflowError):
                 _closed_form_exponents(PhaseSettings(tuple(rows)))

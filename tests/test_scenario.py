@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+import oracles
 from ghzport.angles import Residue
 from ghzport.errors import ScenarioError
 from ghzport.quantum import correlation_closed
@@ -58,7 +59,7 @@ class TestBundledScenarios:
         scenario = parse_scenario(path)
         assert scenario.config.particles == 4
         assert scenario.config.ports == 3
-        assert scenario.phases.rows[0][1].turns == Fraction(1, 9)
+        assert oracles.turns(scenario.phases.rows[0][1]) == Fraction(1, 9)
         result = correlation_closed(scenario.config, scenario.phases)
         assert result.exact_class == Residue(2, 3)
         assert scenario.catalog is not None
@@ -92,7 +93,7 @@ class TestValidation:
     def test_unreduced_rational_parses_with_note(self):
         doc = minimal_doc(phases=[[0.0, "3/9"], [0.0, 0.0]], ports=2)
         scenario = parse_scenario_data(doc)
-        assert scenario.phases.rows[0][1].turns == Fraction(1, 3)
+        assert oracles.turns(scenario.phases.rows[0][1]) == Fraction(1, 3)
         assert any("3/9" in note and "1/3" in note for note in scenario.notes)
 
     def test_unknown_field_rejected(self):

@@ -8,12 +8,13 @@ W --seed S --seconds RUN_SECONDS --trace 0`` once in each tree, one run at a
 time, with the same seed on both sides of the pair; the parent goes first in
 the first pair and the two trees alternate after that. RUN_SECONDS is
 ``run_seconds`` from the parent tree's ``BENCHMARK.json``, so both trees run
-at the benchmark's own length. Every run has PYTHONDONTWRITEBYTECODE=1 and
-PYTHONPYCACHEPREFIX set to a new, empty temporary directory, so it neither
-writes bytecode nor reads any that a tree already holds (a test or program
-run without those variables leaves ``__pycache__`` directories behind): every
-child compiles its sources, as in a fresh checkout. Each run's full result is
-read from the tree's ``.perfbench_runs/result-*.json``.
+at the benchmark's own length. Every run has PYTHONDONTWRITEBYTECODE=1, so
+it writes no bytecode, and the tool refuses a tree that holds a
+``__pycache__`` directory under ``src`` or ``perfbench``, naming each one (a
+test or program run without that variable leaves them behind). So every
+child compiles the tree's own sources, as in a fresh checkout, and reads the
+standard library's and installed packages' bytecode as any process does.
+Each run's full result is read from the tree's ``.perfbench_runs/result-*.json``.
 
 Before the pairs, each tree also runs ``perfbench/run.py --trace 1`` once on
 W, at the first seed and the same length. The traced run imports ghzport and
@@ -48,7 +49,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 #: The gated end-to-end metrics, lower is better for each.
@@ -61,9 +61,8 @@ def perfbench(name: str, tree: Path, workload: str, seed: int, seconds, trace: i
     object."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
-        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{name} tree {tree}: --trace {trace} on {workload} seed {seed} "
                          f"exited {done.returncode}\n{done.stderr[-2000:]}")
@@ -130,7 +129,14 @@ def git(tree: Path, *args: str) -> str:
 
 
 def checked_identity(tree: Path, name: str) -> tuple:
-    """(HEAD commit, git tree hash of ``src``) of a checkout whose ``src`` is clean."""
+    """(HEAD commit, git tree hash of ``src``) of a checkout whose ``src`` is
+    clean and holds, as ``perfbench`` does, no ``__pycache__``: a run would
+    read that bytecode instead of compiling. Exits naming each one."""
+    caches = sorted(str(cache) for top in ("src", "perfbench")
+                    for cache in (tree / top).rglob("__pycache__"))
+    if caches:
+        raise SystemExit(f"{name} tree {tree}: remove the bytecode a run would read: "
+                         + ", ".join(caches))
     if git(tree, "status", "--porcelain", "--", "src"):
         raise SystemExit(f"{name} tree {tree}: src has uncommitted changes; commit them first")
     return git(tree, "rev-parse", "HEAD"), git(tree, "rev-parse", "HEAD:src")

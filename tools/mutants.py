@@ -169,13 +169,6 @@ MUTANTS = (
     Mutant("from_ratio's 64-bit guard doubled", "src/ghzport/angles.py",
            "if denominator > _INT64_MAX:  # the wrapped",
            "if denominator > 2 * _INT64_MAX:  # the wrapped", PAIR + "test_spellings"),
-    Mutant("Residue addition drops its modulus check", "src/ghzport/angles.py",
-           "if self.modulus != other.modulus:", "if False:",
-           "tests/test_angles.py::TestResidue::test_subtraction_reduces_mod_m"),
-    Mutant("Residue subtraction adds without negating", "src/ghzport/angles.py",
-           "Residue):\n            return NotImplemented\n        return self + (-other)",
-           "Residue):\n            return NotImplemented\n        return self + other",
-           "tests/test_angles.py::TestResidue::test_subtraction_reduces_mod_m"),
     Mutant("CorrelationValue's modulus guard loosened to 1e-6", "src/ghzport/closed.py",
            "if abs(value) > 1.0 + 1e-12:", "if abs(value) > 1.0 + 1e-6:",
            CORRELATION + "test_modulus_past_one_by_more_than_1e_12_is_rejected"),
@@ -200,6 +193,30 @@ MUTANTS = (
     Mutant("probability rows read the low half's class only", "src/ghzport/quantum.py",
            "keys = (high_sums[upper] + low_sums[low]) % ports", "keys = low_sums[low] % ports",
            "tests/test_cli.py::TestRendering::test_probability_rows"),
+    Mutant("ExperimentConfig accepts zero particles", "src/ghzport/closed.py",
+           "or particles < 1:", "or particles < 0:",
+           "tests/test_quantum.py::TestExperimentConfig::test_bounds"),
+    Mutant("ExperimentConfig accepts one port", "src/ghzport/closed.py",
+           "or ports < 2:", "or ports < 1:",
+           "tests/test_quantum.py::TestExperimentConfig::test_bounds"),
+    Mutant("PhaseSettings accepts a shorter row", "src/ghzport/closed.py",
+           "if len(row) != width:", "if len(row) > width:",
+           "tests/test_quantum.py::TestPhaseSettings::test_rows_of_another_width_are_rejected"),
+    Mutant("an outcome lookup accepts extra detectors", "src/ghzport/quantum.py",
+           "if len(detectors) != cfg.particles:", "if len(detectors) < cfg.particles:",
+           "tests/test_quantum.py::TestFullDistribution::test_shape_mismatch_rejected"),
+    Mutant("an outcome lookup accepts a detector one past the ports", "src/ghzport/quantum.py",
+           "if not _is_index(k, cfg.ports):", "if not _is_index(k, cfg.ports + 1):",
+           "tests/test_quantum.py::TestFullDistribution::test_shape_mismatch_rejected"),
+    Mutant("predict_last accepts a detector one past the ports", "src/ghzport/closed.py",
+           "if not _is_index(k, modulus):", "if not _is_index(k, modulus + 1):",
+           "tests/test_quantum.py::TestPredictLast::test_rejects_bad_observations"),
+    Mutant("sample_outcomes accepts zero shots", "src/ghzport/quantum.py",
+           "or shots <= 0:", "or shots < 0:",
+           "tests/test_quantum.py::TestSampling::test_zero_shots_rejected"),
+    Mutant("SettingsCatalog accepts a shorter setting", "src/ghzport/lhv.py",
+           "if len(row) != ports:", "if len(row) > ports:",
+           "tests/test_lhv.py::test_catalog_settings_of_another_length_are_rejected"),
     Mutant("exact class rounds up", "src/ghzport/closed.py",
            "Residue(numerators[0] * ports // denominator, ports)",
            "Residue(-(-numerators[0] * ports // denominator), ports)",
