@@ -9,7 +9,8 @@ The closed form, perfect-correlation detection and the prediction of the
 last outcome are in ``ghzport.closed``.
 
 Detector indices are 0-based throughout this module; the command-line layer
-re-exposes 1-based port labels.
+re-exposes 1-based port labels. Both outcome views are read-only mappings in
+which a key that is no outcome is absent.
 """
 
 from __future__ import annotations
@@ -47,15 +48,26 @@ def _ensure_enumerable(cfg: ExperimentConfig) -> None:
         )
 
 
+class _NotAnOutcome(ValueError, KeyError):
+    """A key that is no outcome, even one that is no sequence: a ValueError
+    to ``view[key]``, and a KeyError too, so that ``in`` and ``.get`` find
+    it absent."""
+
+    __str__ = ValueError.__str__
+
+
 def _check_outcome(cfg: ExperimentConfig, outcome: Sequence[int]) -> Tuple[int, ...]:
-    detectors = tuple(outcome)
+    try:
+        detectors = tuple(outcome)
+    except TypeError:
+        raise _NotAnOutcome(f"an outcome is a sequence of detectors, got {outcome!r}") from None
     if len(detectors) != cfg.particles:
-        raise ValueError(
+        raise _NotAnOutcome(
             f"outcome has {len(detectors)} entries, expected {cfg.particles}"
         )
     for k in detectors:
         if not _is_index(k, cfg.ports):
-            raise ValueError(
+            raise _NotAnOutcome(
                 f"detector indices must be integers in 0..{cfg.ports - 1}, got {k!r}"
             )
     return detectors
@@ -181,11 +193,13 @@ class OutcomeDistribution(Mapping):
     """The complete probability table over all M**N outcome tuples, implicit.
 
     Behaves as a read-only mapping from 0-based detector tuples (lexicographic
-    by station) to probabilities. A probability depends on an outcome only
-    through the residue of its detector sum, so only the M class
-    probabilities are held and no M**N-long array is ever built; the total
-    and marginals follow from the class structure. Iteration still walks
-    every tuple.
+    by station) to probabilities. A key that is no sequence, of another
+    length or with a detector that is no index is absent: ``in`` is False,
+    ``.get`` gives the default and ``view[key]`` raises ValueError. A
+    probability depends on an outcome only through the residue of its
+    detector sum, so only the M class probabilities are held and no
+    M**N-long array is ever built; the total and marginals follow from the
+    class structure. Iteration still walks every tuple.
     """
 
     def __init__(self, cfg: ExperimentConfig, class_probabilities: np.ndarray):
@@ -197,10 +211,6 @@ class OutcomeDistribution(Mapping):
                 f"distribution total {total!r} deviates from 1 beyond {PROBABILITY_TOLERANCE}"
             )
         self._total = total
-
-    @property
-    def config(self) -> ExperimentConfig:
-        return self._cfg
 
     @property
     def total(self) -> float:
@@ -223,13 +233,13 @@ class OutcomeDistribution(Mapping):
         return self._probs.copy()
 
     def marginal(self, station: int) -> np.ndarray:
-        """Single-station marginal distribution (length M), from the classes.
+        """Marginal distribution (length M) of station index ``station``.
 
         With one station it is the class probabilities. With N >= 2, fixing
         one detector leaves M**(N-2) outcomes in every class, so every entry
         is M**(N-2) * sum_s p_s.
         """
-        if not 0 <= station < self._cfg.particles:
+        if not _is_index(station, self._cfg.particles):
             raise ValueError(f"station must be in 0..{self._cfg.particles - 1}")
         ports, particles = self._cfg.ports, self._cfg.particles
         if particles == 1:
@@ -277,7 +287,8 @@ class OutcomeCounts(Mapping):
     """Read-only view of sampled counts, 0-based outcome tuple -> count, over
     what ``np.unique`` returns for the draws: the ascending lex ``indices`` of
     the outcomes drawn and their ``frequencies``, both read-only. Iteration is
-    in lex order, a lookup a binary search; the repr is the equal dict's.
+    in lex order, a lookup a binary search (a key that is no outcome is
+    absent, as from the distribution); the repr is the equal dict's.
     """
 
     def __init__(self, cfg: ExperimentConfig, indices: np.ndarray, frequencies: np.ndarray):

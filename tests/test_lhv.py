@@ -151,14 +151,15 @@ def swap_constraints(particles=4, ports=3, required=2):
     ("1", False), (None, False),
 ])
 def test_index_checks_accept_the_same_integer_kinds(index, accepted):
-    """Plain ints, bools and numpy integers are setting or detector indices;
-    numpy bools, floats, fractions and strings are not."""
+    """Plain ints, bools and numpy integers are setting, detector or station
+    indices; numpy bools, floats, fractions and strings are not."""
     zeros = (PhaseAngle(0.0),) * 2
     catalog = SettingsCatalog(2, ((zeros, zeros),) * 2)
     distribution = full_distribution(ExperimentConfig(2, 2), PhaseSettings((zeros,) * 2))
     checks = [
         lambda: catalog.validate_pattern((0, index)),
         lambda: distribution[(0, index)],
+        lambda: distribution.marginal(index),
         lambda: predict_last(Residue(0, 2), (0, index)),
     ]
     for check in checks:

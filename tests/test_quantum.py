@@ -923,6 +923,41 @@ class TestOutcomeCounts:
             hash(first)
 
 
+class TestOutcomeViews:
+    """Both outcome views keep the Mapping contract: a key that is no outcome
+    is absent to ``in`` and ``.get``, while ``[]`` still says what is wrong
+    with it."""
+
+    OTHER = r"^detector indices must be integers in 0\.\.1, got "
+
+    @pytest.fixture(params=["distribution", "counts"])
+    def view(self, request):
+        cfg, settings = ExperimentConfig(2, 2), zero_settings(2, 2)
+        if request.param == "distribution":
+            return full_distribution(cfg, settings)
+        return sample_outcomes(cfg, settings, 100, seed=3).counts
+
+    @pytest.mark.parametrize("key, message", [
+        ((0,), "^outcome has 1 entries, expected 2$"),
+        ((0, 0, 0), "^outcome has 3 entries, expected 2$"),
+        ((0, 5), OTHER + "5$"),
+        ((-1, 0), OTHER + "-1$"),
+        ((0, 0.0), OTHER + r"0\.0$"),
+        ((0, "0"), OTHER + "'0'$"),
+        (5, "^an outcome is a sequence of detectors, got 5$"),
+        (None, "^an outcome is a sequence of detectors, got None$"),
+        (0.5, r"^an outcome is a sequence of detectors, got 0\.5$"),
+    ], ids=["short", "long", "past the ports", "negative", "float", "string",
+            "int", "None", "float key"])
+    def test_a_key_that_is_no_outcome_is_absent(self, view, key, message):
+        assert key not in view
+        assert view.get(key, "dflt") == "dflt"
+        assert view.get(key) is None
+        with pytest.raises(ValueError, match=message):
+            view[key]
+        assert (0, 0) in view and view.get((0, 0)) == view[(0, 0)]
+
+
 class TestClassFirstSampling:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))

@@ -39,12 +39,24 @@ and, for each gated end-to-end metric, each side's quartiles and median and
 in how many pairs the change was better (lower), ties counting for neither
 side. ``--claim`` names the metric, on this workload, that the change claims
 to improve. OUT is rewritten after every run.
+
+The summary also holds the verdict. For each workload and metric it records
+the change median against the parent median, as a fraction of the parent
+median, and whether that is within the metric's ``bound`` in the parent
+tree's ``BENCHMARK.json``. Per workload it records each side's share of
+failed commands (failed over attempted, summed over the pairs), and the
+change must not fail a larger share. On the claimed workload it records
+whether the claim is met: at least ten pairs, the change better in at least
+nine of every ten, no larger failed share, and a parent median above the
+change median by more than the parent's q3 - q1. The verdict is printed
+after the last run, and the tool exits 1 when it fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -53,6 +65,10 @@ from pathlib import Path
 
 #: The gated end-to-end metrics, lower is better for each.
 METRICS = ("setup_s", "wall_s", "cpu_s", "proc_p50_s", "peak_rss_mb")
+
+#: A claim needs at least this many pairs, and the change better in nine of
+#: every ten of them.
+MIN_CLAIM_PAIRS = 10
 
 
 def perfbench(name: str, tree: Path, workload: str, seed: int, seconds, trace: int) -> dict:
@@ -101,26 +117,93 @@ def quartiles(values):
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(runs: list) -> dict:
+def summarize(runs: list, bounds: dict, claim) -> dict:
+    """Per workload: seeds, pairs, each side's failed share and, per metric,
+    both sides' quartiles, the change's better pairs and the verdict against
+    ``bounds`` (metric -> largest allowed rise of the median, a fraction of
+    the parent's); on the workload ``claim`` names, also the claim's
+    verdict."""
     summary = {}
     for workload in sorted({run["workload"] for run in runs}):
-        sides = {tree: {run["seed"]: run["metrics"] for run in runs
+        sides = {tree: {run["seed"]: run for run in runs
                         if run["workload"] == workload and run["tree"] == tree}
                  for tree in ("parent", "change")}
         seeds = sorted(set(sides["parent"]) & set(sides["change"]))
         if not seeds:
             continue
-        entry = {"seeds": seeds, "pairs": len(seeds)}
+        share = {tree: sum(sides[tree][seed]["failed"] for seed in seeds)
+                 / max(1, sum(sides[tree][seed]["attempted"] for seed in seeds))
+                 for tree in ("parent", "change")}
+        entry = {"seeds": seeds, "pairs": len(seeds), "failed_share": share,
+                 "no_larger_failed_share": share["change"] <= share["parent"]}
         for metric in METRICS:
-            parent = [sides["parent"][seed][metric] for seed in seeds]
-            change = [sides["change"][seed][metric] for seed in seeds]
+            parent = [sides["parent"][seed]["metrics"][metric] for seed in seeds]
+            change = [sides["change"][seed]["metrics"][metric] for seed in seeds]
+            parent_q, change_q = quartiles(parent), quartiles(change)
+            rise = change_q[1] / parent_q[1] - 1
             entry[metric] = {
-                "parent_q1_median_q3": quartiles(parent),
-                "change_q1_median_q3": quartiles(change),
+                "parent_q1_median_q3": parent_q,
+                "change_q1_median_q3": change_q,
                 "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
+                "median_rise": rise,
+                "bound": bounds[metric],
+                "within_bound": rise <= bounds[metric],
+            }
+        if claim and claim["workload"] == workload:
+            claimed = entry[claim["metric"]]
+            q1, parent_median, q3 = claimed["parent_q1_median_q3"]
+            gap = parent_median - claimed["change_q1_median_q3"][1]
+            needed = math.ceil(0.9 * len(seeds))
+            entry["claim"] = {
+                "metric": claim["metric"],
+                "pairs_needed": MIN_CLAIM_PAIRS,
+                "better_pairs_needed": needed,
+                "median_gap": gap,
+                "parent_iqr": q3 - q1,
+                "met": (len(seeds) >= MIN_CLAIM_PAIRS and claimed["change_better_pairs"] >= needed
+                        and gap > q3 - q1 and entry["no_larger_failed_share"]),
             }
         summary[workload] = entry
     return summary
+
+
+def verdict(summary: dict, claim) -> tuple:
+    """(lines of text, True when every metric is within its bound, no
+    workload fails a larger share of commands and a claim, if any, is met)
+    for a summary from ``summarize``."""
+    lines, good = [], True
+    for workload, entry in summary.items():
+        share = entry["failed_share"]
+        good &= entry["no_larger_failed_share"]
+        lines.append(f"{workload} failed share: {share['parent']:.3g} -> {share['change']:.3g}"
+                     + ("" if entry["no_larger_failed_share"] else ": LARGER"))
+        for metric in METRICS:
+            row = entry[metric]
+            good &= row["within_bound"]
+            lines.append(
+                f"{workload} {metric}: {row['parent_q1_median_q3'][1]:.4g} -> "
+                f"{row['change_q1_median_q3'][1]:.4g} ({row['median_rise']:+.1%}, bound "
+                f"+{row['bound']:.0%}): {'within' if row['within_bound'] else 'BEYOND'} "
+                f"its bound; change better in {row['change_better_pairs']}/{entry['pairs']}")
+    if claim is None:
+        lines.append("no claim")
+    elif "claim" not in summary.get(claim["workload"], {}):
+        good = False
+        lines.append(f"claim {claim['workload']} {claim['metric']}: NOT MET, no pairs")
+    else:
+        entry = summary[claim["workload"]]
+        result = entry["claim"]
+        good &= result["met"]
+        lines.append(
+            f"claim {claim['workload']} {claim['metric']}: "
+            f"{'met' if result['met'] else 'NOT MET'}, change better in "
+            f"{entry[claim['metric']]['change_better_pairs']}/{entry['pairs']} pairs "
+            f"({result['better_pairs_needed']} needed, of at least {result['pairs_needed']} "
+            f"pairs), median gap "
+            f"{result['median_gap']:.3g} against the parent's q3 - q1 of "
+            f"{result['parent_iqr']:.3g}")
+    lines.append("verdict: " + ("pass" if good else "FAIL"))
+    return lines, good
 
 
 def git(tree: Path, *args: str) -> str:
@@ -142,7 +225,7 @@ def checked_identity(tree: Path, name: str) -> tuple:
     return git(tree, "rev-parse", "HEAD"), git(tree, "rev-parse", "HEAD:src")
 
 
-def save(out: Path, runs: list, claim, parent_commit, change_src_tree) -> None:
+def save(out: Path, runs: list, bounds: dict, claim, parent_commit, change_src_tree) -> None:
     document = {
         "description": "tools/bench_pairs.py: perfbench/run.py --trace 0 in both trees, "
                        "same seed within a pair, alternating which tree runs first; "
@@ -150,7 +233,7 @@ def save(out: Path, runs: list, claim, parent_commit, change_src_tree) -> None:
         "parent_commit": parent_commit,
         "change_src_tree": change_src_tree,
         "claim": claim,
-        "summary": summarize(runs),
+        "summary": summarize(runs, bounds, claim),
         "runs": runs,
     }
     out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
@@ -187,6 +270,7 @@ def main(argv=None) -> int:
                          f"{repeated}")
     benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = benchmark["run_seconds"]
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     for tree in ("parent", "change"):
         traced_check(tree, trees[tree], args.workload, args.seeds[0], seconds)
     for number, seed in enumerate(args.seeds):
@@ -196,8 +280,10 @@ def main(argv=None) -> int:
             runs.append(run)
             print(f"{args.workload} seed {seed} {tree}: wall_s {run['metrics']['wall_s']:.3f} "
                   f"correct {run['correct']}", file=sys.stderr)
-            save(args.out, runs, claim, parent_commit, change_src_tree)
-    return 0
+            save(args.out, runs, bounds, claim, parent_commit, change_src_tree)
+    lines, good = verdict(summarize(runs, bounds, claim), claim)
+    print("\n".join(lines))
+    return 0 if good else 1
 
 
 if __name__ == "__main__":

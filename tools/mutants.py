@@ -208,6 +208,16 @@ MUTANTS = (
     Mutant("an outcome lookup accepts a detector one past the ports", "src/ghzport/quantum.py",
            "if not _is_index(k, cfg.ports):", "if not _is_index(k, cfg.ports + 1):",
            "tests/test_quantum.py::TestFullDistribution::test_shape_mismatch_rejected"),
+    Mutant("a key that is no outcome raises a plain ValueError", "src/ghzport/quantum.py",
+           "class _NotAnOutcome(ValueError, KeyError):", "class _NotAnOutcome(ValueError):",
+           "tests/test_quantum.py::TestOutcomeViews::test_a_key_that_is_no_outcome_is_absent"),
+    Mutant("a key that is no sequence raises TypeError", "src/ghzport/quantum.py",
+           "except TypeError:", "except ValueError:",
+           "tests/test_quantum.py::TestOutcomeViews::test_a_key_that_is_no_outcome_is_absent"),
+    Mutant("marginal takes any station number in range", "src/ghzport/quantum.py",
+           "if not _is_index(station, self._cfg.particles):",
+           "if not 0 <= station < self._cfg.particles:",
+           "tests/test_lhv.py::test_index_checks_accept_the_same_integer_kinds"),
     Mutant("predict_last accepts a detector one past the ports", "src/ghzport/closed.py",
            "if not _is_index(k, modulus):", "if not _is_index(k, modulus + 1):",
            "tests/test_quantum.py::TestPredictLast::test_rejects_bad_observations"),
