@@ -8,7 +8,9 @@ ints, so the package never imports ``fractions``. Correlation classes are
 residues modulo the port count M; a residue k stands for the unit complex
 number exp(2*pi*i*k/M), the value ascribed to a click behind output port k
 (0-based internally). A ``Residue`` is a record only: the code that computes
-a class does its arithmetic on plain ints.
+a class does its arithmetic on plain ints. A count or a record field (N, M,
+shots, a residue, an exact angle's pair) must be an ``int``, never a ``bool``
+(``_check_int``); an index may be any integer in range (``_is_index``).
 """
 
 from __future__ import annotations
@@ -65,6 +67,13 @@ def _is_index(value, size: int) -> bool:
     return (type(value) is int or isinstance(value, numbers.Integral)) and 0 <= value < size
 
 
+def _check_int(value, what: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """Raise ``ValueError(f"{what}, got {value!r}")`` unless ``value`` is an
+    int, not a bool, in low..high, both inclusive. ``PhaseAngle`` inlines it."""
+    if not isinstance(value, int) or value.__class__ is bool or not low <= value <= high:
+        raise ValueError(f"{what}, got {value!r}")
+
+
 def root_of_unity(k: int, modulus: int) -> complex:
     """exp(2*pi*i*k/M): the value assigned to a click at detector k (mod M)."""
     if modulus < 1:
@@ -115,10 +124,8 @@ class Residue(_Record):
     _fields = ("value", "modulus")
 
     def __init__(self, value: int, modulus: int):
-        if not isinstance(modulus, int) or modulus < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
-        if not isinstance(value, int):
-            raise ValueError(f"residue value must be an integer, got {value!r}")
+        _check_int(modulus, "modulus must be an integer >= 2", 2)
+        _check_int(value, "residue value must be an integer")
         self.__dict__.update(value=value % modulus, modulus=modulus)
 
     def symbol(self) -> str:
@@ -143,10 +150,12 @@ class PhaseAngle(_Record):
         if not (0.0 <= radians < TAU):
             raise ValueError(f"radians must lie in [0, 2*pi), got {radians!r}")
         if numerator is not None or denominator is not None:  # exact: both needed
-            if not (isinstance(denominator, int) and 0 < denominator <= _INT64_MAX):
+            if not (isinstance(denominator, int) and denominator.__class__ is not bool
+                    and 0 < denominator <= _INT64_MAX):
                 raise ValueError(f"denominator must be an integer in 1..2**63-1, "
                                  f"got {denominator!r}")
-            if not (isinstance(numerator, int) and 0 <= numerator < denominator):
+            if not (isinstance(numerator, int) and numerator.__class__ is not bool
+                    and 0 <= numerator < denominator):
                 raise ValueError(f"numerator must be an integer in 0..{denominator - 1}, "
                                  f"got {numerator!r}")
             if math.gcd(numerator, denominator) != 1:

@@ -28,6 +28,7 @@ from .angles import (
     _INT64_MAX,
     PhaseAngle,
     Residue,
+    _check_int,
     _is_index,
     _Record,
     root_of_unity,
@@ -41,10 +42,8 @@ class ExperimentConfig(_Record):
     _fields = ("particles", "ports")
 
     def __init__(self, particles: int, ports: int):
-        if not isinstance(particles, int) or isinstance(particles, bool) or particles < 1:
-            raise ValueError(f"particles must be an integer >= 1, got {particles!r}")
-        if not isinstance(ports, int) or isinstance(ports, bool) or ports < 2:
-            raise ValueError(f"ports must be an integer >= 2, got {ports!r}")
+        _check_int(particles, "particles must be an integer >= 1", 1)
+        _check_int(ports, "ports must be an integer >= 2", 2)
         self.__dict__.update(particles=particles, ports=ports)
 
     @property

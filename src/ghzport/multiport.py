@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .angles import _Record
+from .angles import _check_int, _Record
 from .closed import unit_roots
 
 #: Largest supported port count; paradox scenarios need M = N-1 only.
@@ -33,8 +33,7 @@ class MultiportMatrix(_Record):
 
 def bell_multiport(ports: int) -> MultiportMatrix:
     """The Bell multiport with entry(m, m') = gamma_M^(m*m') / sqrt(M), 0-based."""
-    if not isinstance(ports, int) or not 2 <= ports <= MAX_PORTS:
-        raise ValueError(f"ports must be an integer in 2..{MAX_PORTS}, got {ports!r}")
+    _check_int(ports, f"ports must be an integer in 2..{MAX_PORTS}", 2, MAX_PORTS)
     exponents = np.outer(np.arange(ports), np.arange(ports)) % ports
     entries = unit_roots(ports)[exponents] / math.sqrt(ports)
     return MultiportMatrix(ports, entries)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .angles import PhaseAngle, Residue, _Record
+from .angles import PhaseAngle, Residue, _check_int, _Record
 from .errors import ComputationIntegrityError, ResourceLimitError
 from .lhv import (
     Constraint,
@@ -70,10 +70,7 @@ class ParadoxScenario(_Record):
 
 def build_scenario(particles: int) -> ParadoxScenario:
     """Construct the paradox scenario for N particles (M = N-1 ports)."""
-    if not isinstance(particles, int) or particles < 4:
-        raise ValueError(
-            f"the paradox family starts at N = M+1 = 4 particles, got {particles!r}"
-        )
+    _check_int(particles, "the paradox family starts at N = M+1 = 4 particles", 4)
     if particles > MAX_PARTICLES:
         raise ValueError(f"particles capped at {MAX_PARTICLES}, got {particles}")
     ports = particles - 1
@@ -151,16 +148,9 @@ class ContradictionReport(_Record):
 
     @property
     def verified(self) -> bool:
-        """True when the report confirms the predicted contradiction: the
-        forced value lands on the target pattern, disagrees with the quantum
-        class there, and (when enumerated) no model satisfies everything."""
-        if self.forced is None or not self.contradiction:
-            return False
-        if self.forced.pattern != self.scenario.target.pattern:
-            return False
-        if self.full_model_count is not None and self.full_model_count != 0:
-            return False
-        return True
+        """``contradiction`` (set by ``run_scenario`` from the forced value), not
+        undone by the exhaustive stage: if it ran, no model met every constraint."""
+        return self.contradiction and self.full_model_count in (None, 0)
 
 
 def run_scenario(

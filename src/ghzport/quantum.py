@@ -21,7 +21,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .angles import PROBABILITY_TOLERANCE, _is_index, _Record
+from .angles import PROBABILITY_TOLERANCE, _check_int, _is_index, _Record
 from .closed import CorrelationValue, ExperimentConfig, PhaseSettings, _check_settings, unit_roots
 from .closed import correlation_closed  # noqa: F401  read here by perfbench/layers.py
 from .errors import ComputationIntegrityError, ResourceLimitError
@@ -364,8 +364,9 @@ def sample_outcomes(
     last digit as (s - prefix digit sum) mod M. The estimate is
     sum_s n_s gamma_M^s / shots.
     """
-    if not isinstance(shots, int) or shots <= 0:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
+    _check_int(shots, "shots must be a positive integer", 1)
+    if isinstance(seed, bool) or not _is_index(seed, np.inf):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     distribution = full_distribution(cfg, settings)
     probs = distribution.class_probabilities()
     ports = cfg.ports

@@ -1,15 +1,21 @@
 import cmath
 import math
+import re
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ghzport.angles import TAU, PhaseAngle, Residue, _turns_radians, angle_to_json, root_of_unity
+from ghzport.closed import ExperimentConfig, PhaseSettings
 from ghzport.errors import RationalOverflowError
+from ghzport.multiport import bell_multiport
+from ghzport.paradox import build_scenario
+from ghzport.quantum import sample_outcomes
 
 
 class TestResidue:
@@ -134,6 +140,18 @@ class TestPhaseAngle:
         assert PhaseAngle.from_radians(-0.5).radians == pytest.approx(TAU - 0.5)
         assert PhaseAngle.from_radians(TAU).radians == 0.0
         assert math.copysign(1.0, PhaseAngle.from_radians(-0.0).radians) == 1.0
+
+    @pytest.mark.parametrize("radians", [TAU, -0.5, math.inf, math.nan])
+    def test_radians_outside_one_turn_are_refused(self, radians):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"radians must lie in [0, 2*pi), got {radians!r}")):
+            PhaseAngle(radians)
+
+    @pytest.mark.parametrize("turns", [0.5, 1j, None])
+    def test_from_turns_refuses_what_is_not_rational(self, turns):
+        message = f'turns must be a rational number or a "p/q" string, got {turns!r}'
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            PhaseAngle.from_turns(turns)
 
     def test_seam_noise_wraps_to_zero(self):
         # a tiny negative angle plus 2*pi rounds to 2*pi, outside [0, 2*pi)
@@ -272,6 +290,68 @@ class TestFractionGrammar:
         with pytest.raises(ValueError, match="inconsistent with 1/3 of a turn"):
             PhaseAngle(TAU / 3 + 1e-9, 1, 3)
         assert PhaseAngle(TAU / 3 + 1e-13, 1, 3).numerator == 1
+
+
+def _sample(shots):
+    return sample_outcomes(ExperimentConfig(1, 2), PhaseSettings.build([[0, 0]]), shots, 0)
+
+
+#: Every integer argument under the one rule (an int, never a bool), each a
+#: call that takes the value.
+INTEGER_SITES = {
+    "ExperimentConfig particles": lambda value: ExperimentConfig(value, 2),
+    "ExperimentConfig ports": lambda value: ExperimentConfig(1, value),
+    "Residue modulus": lambda value: Residue(0, value),
+    "Residue value": lambda value: Residue(value, 3),
+    "sample_outcomes shots": _sample,
+    "build_scenario": build_scenario,
+    "bell_multiport": bell_multiport,
+    "PhaseAngle numerator": lambda value: PhaseAngle(0.0, value, 1),
+    "PhaseAngle denominator": lambda value: PhaseAngle(0.0, 0, value),
+}
+
+#: (site, the value at a bound, one step past it, the message for that step).
+INTEGER_BOUNDS = [
+    ("ExperimentConfig particles", 1, 0, "particles must be an integer >= 1, got 0"),
+    ("ExperimentConfig ports", 2, 1, "ports must be an integer >= 2, got 1"),
+    ("Residue modulus", 2, 1, "modulus must be an integer >= 2, got 1"),
+    ("sample_outcomes shots", 1, 0, "shots must be a positive integer, got 0"),
+    ("build_scenario", 4, 3, "the paradox family starts at N = M+1 = 4 particles, got 3"),
+    ("build_scenario", 64, 65, "particles capped at 64, got 65"),
+    ("bell_multiport", 2, 1, "ports must be an integer in 2..64, got 1"),
+    ("bell_multiport", 64, 65, "ports must be an integer in 2..64, got 65"),
+    ("PhaseAngle numerator", 0, -1, "numerator must be an integer in 0..0, got -1"),
+    ("PhaseAngle numerator", 0, 1, "numerator must be an integer in 0..0, got 1"),
+    ("PhaseAngle denominator", 1, 0, "denominator must be an integer in 1..2**63-1, got 0"),
+]
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_a_bool_is_refused(self, site, value):
+        with pytest.raises(ValueError, match=f", got {value}$"):
+            INTEGER_SITES[site](value)
+
+    @pytest.mark.parametrize("site, inside, outside, message", INTEGER_BOUNDS)
+    def test_every_bound_is_inclusive(self, site, inside, outside, message):
+        INTEGER_SITES[site](inside)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            INTEGER_SITES[site](outside)
+
+    def test_the_denominators_upper_bound_is_inclusive(self):
+        largest = 2**63 - 1
+        assert PhaseAngle(_turns_radians(1, largest), 1, largest).denominator == largest
+        message = f"denominator must be an integer in 1..2**63-1, got {largest + 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PhaseAngle(_turns_radians(1, largest + 1), 1, largest + 1)
+
+    @pytest.mark.parametrize("site", ["ExperimentConfig particles", "Residue value",
+                                      "sample_outcomes shots", "bell_multiport"])
+    def test_floats_and_numpy_integers_are_refused(self, site):
+        for value in (2.0, np.int64(2)):
+            with pytest.raises(ValueError, match=f", got {re.escape(repr(value))}$"):
+                INTEGER_SITES[site](value)
 
 
 def test_root_of_unity_matches_cmath():

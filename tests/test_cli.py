@@ -433,6 +433,16 @@ class TestParadox:
             assert error == ("ghzport: error [paradox-mismatch] the N = 4 contradiction "
                              "did not verify as predicted")
 
+    def test_a_report_with_no_forced_value_says_so(self, capsys, monkeypatch):
+        real = cli.run_paradox
+        monkeypatch.setattr(cli, "run_paradox", lambda n, enumerate_models: _rebuilt(
+            real(n, enumerate_models=enumerate_models), forced=None, contradiction=False))
+        code, out, _ = run_cli(capsys, "paradox", "--N", "4")
+        assert code == 4
+        assert "\nalgebraic stage: no value is forced (unexpected)\n" in out
+        assert out.splitlines()[-1] == (
+            "contradiction: NOT PRESENT (forced value matches the quantum class)")
+
     def test_unconfirmed_contradiction_is_not_called_verified(self, capsys, monkeypatch):
         real = cli.run_paradox
         monkeypatch.setattr(cli, "run_paradox", lambda n, enumerate_models: _rebuilt(

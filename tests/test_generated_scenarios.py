@@ -2,7 +2,7 @@
 
 perfbench/checks.py recomputes each subcommand's records from the README's
 closed forms and shares no code with ghzport; the benchmark only shows it
-fixed shapes. Here hypothesis writes small scenario files (N 1-4, M 2-8 with
+fixed shapes. Here hypothesis writes small scenario files (N 1-6, M 2-12 with
 composite M, M**N <= 4096; exact "p/q", float and mixed phases, shared rows,
 optional constraints blocks with a planted model or random classes, optional
 sampling blocks), runs ``correlate``, ``probability``, ``sample`` and, with
@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Most deterministic models a generated catalog spans, so that the checks'
 #: dynamic program stays fast.
 MODEL_LIMIT = 10**5
+#: Every (N, M) a generated scenario takes: N 1-6, M 2-12, M**N <= 4096.
+SHAPES = [(n, m) for n in range(1, 7) for m in range(2, 13) if m**n <= 4096]
 
 
 def load_checks():
@@ -99,8 +101,7 @@ def constraints(draw, kind, ports, rows):
 @st.composite
 def scenarios(draw):
     """(scenario document, extra ``sample`` argv)."""
-    particles = draw(st.integers(1, 4))
-    ports = draw(st.integers(2, 8))
+    particles, ports = draw(st.sampled_from(SHAPES))
     kind = draw(st.sampled_from(["exact", "float", "mixed"]))
     rows = draw(phases(kind, particles, ports))
     document = {"schema": "ghzport-scenario/1", "particles": particles, "ports": ports,

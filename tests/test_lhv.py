@@ -177,6 +177,17 @@ def test_model_assignments_must_be_residues(value):
         DeterministicModel(3, ((0, 2), (1, value)))
 
 
+def test_a_catalog_without_stations_is_rejected():
+    with pytest.raises(ValueError, match="^catalog needs at least one station$"):
+        SettingsCatalog(2, ())
+
+
+def test_a_catalog_station_without_settings_is_rejected():
+    row = (PhaseAngle(0.0),) * 2
+    with pytest.raises(ValueError, match="^station 2 has no settings$"):
+        SettingsCatalog(2, ((row,), (), (row,)))
+
+
 def test_catalog_settings_of_another_length_are_rejected():
     row = (PhaseAngle(0.0),) * 3
     for short in (row[:2], row + row[:1]):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def test_four_port_entry():
 def test_port_range_guard(ports):
     with pytest.raises(ValueError):
         bell_multiport(ports)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3), (9,)])
+def test_matrix_of_another_shape_is_rejected(shape):
+    with pytest.raises(ValueError, match=f"^entries must be 3x3, got {re.escape(str(shape))}$"):
+        MultiportMatrix(3, np.zeros(shape, dtype=complex))
 
 
 def test_unitarity_holds_for_construction():

@@ -2,8 +2,10 @@
 submodule, and each public name comes from its defining module on first use.
 A command loads only the modules its subcommand runs."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,7 @@ import pytest
 import ghzport
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+README = os.path.join(os.path.dirname(SRC), "README.md")
 
 
 def fresh_env():
@@ -241,3 +244,18 @@ def test_cli_import_still_loads_numpy():
     # uses no numpy itself, which comes in through ghzport.closed
     out = run_fresh("import sys, ghzport.cli; print('numpy' in sys.modules)")
     assert out == "True\n"
+
+
+def test_the_readme_library_example_gives_what_its_comments_state():
+    with open(README, encoding="utf-8") as handle:
+        readme = handle.read()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.S | re.M).group(1)
+    namespace, shown = {}, []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            shown.append(repr(eval(compile(ast.Expression(statement.value), README, "eval"),
+                                   namespace)))
+        else:
+            exec(compile(ast.Module([statement], type_ignores=[]), README, "exec"), namespace)
+    assert shown == ["Residue(value=2, modulus=3)", "(True, 81, 0)"]
+    assert all(f"# {value}" in block for value in shown)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from ghzport.lhv import SettingsCatalog
 from ghzport.paradox import (
     GRADED,
     REFERENCE,
+    ContradictionReport,
     ParadoxExperiment,
     ParadoxScenario,
     build_scenario,
@@ -71,6 +73,36 @@ class TestVerifyQuantum:
         broken = ParadoxScenario(**{**vars(scenario), "catalog": broken_catalog})
         with pytest.raises(ComputationIntegrityError):
             verify_quantum(broken)
+
+    def test_a_wrong_expected_class_is_named(self):
+        scenario = build_scenario(4)
+        target = ParadoxExperiment(scenario.target.pattern, Residue(1, 3), "all reference")
+        wrong = ParadoxScenario(**{**vars(scenario),
+                                   "experiments": scenario.experiments[:-1] + (target,)})
+        message = ("experiment 'all reference': exact class γ_3^0 does not match the "
+                   "predicted γ_3^1")
+        with pytest.raises(ComputationIntegrityError, match=f"^{re.escape(message)}$"):
+            verify_quantum(wrong)
+
+
+class TestVerified:
+    """``verified`` reads two fields: the algebraic stage's ``contradiction``
+    and the exhaustive stage's ``full_model_count``."""
+
+    @pytest.mark.parametrize("contradiction, full_model_count, verified", [
+        (True, None, True), (True, 0, True), (True, 1, False), (True, 81, False),
+        (False, None, False), (False, 0, False), (False, 1, False)])
+    def test_hand_built_reports(self, contradiction, full_model_count, verified):
+        report = ContradictionReport(**{
+            **vars(run_paradox(4)), "contradiction": contradiction,
+            "full_model_count": full_model_count})
+        assert report.verified is verified
+
+    def test_the_forced_value_is_read_through_contradiction_alone(self):
+        report = run_paradox(4)
+        assert ContradictionReport(**{**vars(report), "forced": None}).verified
+        assert not ContradictionReport(**{**vars(report), "forced": None,
+                                          "contradiction": False}).verified
 
 
 class TestRunParadox:

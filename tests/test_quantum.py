@@ -112,6 +112,15 @@ class TestPhaseSettings:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 PhaseSettings(rows)
 
+    def test_no_rows_are_rejected(self):
+        with pytest.raises(ValueError, match="^phase settings need at least one station row$"):
+            PhaseSettings(())
+
+    def test_an_entry_that_is_no_phase_angle_is_rejected(self):
+        row = (PhaseAngle(0.0), PhaseAngle(0.0))
+        with pytest.raises(ValueError, match="^phase entries must be PhaseAngle, got '1/2'$"):
+            PhaseSettings((row, (PhaseAngle(0.0), "1/2")))
+
 
 def class_amplitude(settings, outcome):
     """The joint amplitude of one outcome: its digit-sum class's entry of
@@ -861,6 +870,19 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             sample_outcomes(ExperimentConfig(1, 2), zero_settings(1, 2), 0, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, False, -1, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        message = f"seed must be a non-negative integer, got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_outcomes(ExperimentConfig(2, 2), zero_settings(2, 2), 10, seed)
+
+    def test_a_numpy_integer_seed_is_the_int_seed(self):
+        cfg, settings = ExperimentConfig(2, 3), zero_settings(2, 3)
+        drawn = sample_outcomes(cfg, settings, 50, np.uint32(7))
+        assert drawn == sample_outcomes(cfg, settings, 50, 7)
+        assert type(drawn.seed) is int
+        assert sample_outcomes(cfg, settings, 50, 0).seed == 0
 
 
 class TestOutcomeCounts:

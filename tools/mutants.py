@@ -61,6 +61,7 @@ ELIMINATION = "tests/test_lhv.py::TestCountSatisfying::test_elimination_matches_
 FORCED = "tests/test_lhv.py::TestForcedValue::"
 VALIDATION = "tests/test_scenario.py::TestValidation::"
 BRANCH = "tests/test_scenario.py::TestSchemaBranches::test_each_branch_reports_its_field[{}]"
+INTEGERS = "tests/test_angles.py::TestIntegerRule::"
 MUTANTS = (
     Mutant("reader accepts a repeated option", "src/ghzport/cli.py",
            "option = unseen.pop(token, None)  # each option at most once",
@@ -194,10 +195,10 @@ MUTANTS = (
            "keys = (high_sums[upper] + low_sums[low]) % ports", "keys = low_sums[low] % ports",
            "tests/test_cli.py::TestRendering::test_probability_rows"),
     Mutant("ExperimentConfig accepts zero particles", "src/ghzport/closed.py",
-           "or particles < 1:", "or particles < 0:",
+           '"particles must be an integer >= 1", 1)', '"particles must be an integer >= 1", 0)',
            "tests/test_quantum.py::TestExperimentConfig::test_bounds"),
     Mutant("ExperimentConfig accepts one port", "src/ghzport/closed.py",
-           "or ports < 2:", "or ports < 1:",
+           '"ports must be an integer >= 2", 2)', '"ports must be an integer >= 2", 1)',
            "tests/test_quantum.py::TestExperimentConfig::test_bounds"),
     Mutant("PhaseSettings accepts a shorter row", "src/ghzport/closed.py",
            "if len(row) != width:", "if len(row) > width:",
@@ -222,8 +223,58 @@ MUTANTS = (
            "if not _is_index(k, modulus):", "if not _is_index(k, modulus + 1):",
            "tests/test_quantum.py::TestPredictLast::test_rejects_bad_observations"),
     Mutant("sample_outcomes accepts zero shots", "src/ghzport/quantum.py",
-           "or shots <= 0:", "or shots < 0:",
+           '"shots must be a positive integer", 1)', '"shots must be a positive integer", 0)',
            "tests/test_quantum.py::TestSampling::test_zero_shots_rejected"),
+    Mutant("sample_outcomes accepts a bool seed", "src/ghzport/quantum.py",
+           "if isinstance(seed, bool) or not _is_index(seed, np.inf):",
+           "if not _is_index(seed, np.inf):",
+           "tests/test_quantum.py::TestSampling::test_seed_must_be_a_non_negative_integer"),
+    Mutant("sample_outcomes truncates a float seed", "src/ghzport/quantum.py",
+           "if isinstance(seed, bool) or not _is_index(seed, np.inf):",
+           "if isinstance(seed, bool) or seed < 0:",
+           "tests/test_quantum.py::TestSampling::test_seed_must_be_a_non_negative_integer"),
+    Mutant("the integer rule admits a bool", "src/ghzport/angles.py",
+           "if not isinstance(value, int) or value.__class__ is bool or not low",
+           "if not isinstance(value, int) or not low", INTEGERS + "test_a_bool_is_refused"),
+    Mutant("the integer rule ignores its upper bound", "src/ghzport/angles.py",
+           "not low <= value <= high:", "not low <= value:",
+           INTEGERS + "test_every_bound_is_inclusive"),
+    Mutant("PhaseAngle admits a bool denominator", "src/ghzport/angles.py",
+           "isinstance(denominator, int) and denominator.__class__ is not bool",
+           "isinstance(denominator, int)", INTEGERS + "test_a_bool_is_refused"),
+    Mutant("PhaseAngle accepts radians of a full turn", "src/ghzport/angles.py",
+           "if not (0.0 <= radians < TAU):", "if not (0.0 <= radians <= TAU):",
+           "tests/test_angles.py::TestPhaseAngle::test_radians_outside_one_turn_are_refused"),
+    Mutant("from_turns accepts any real", "src/ghzport/angles.py",
+           "if not isinstance(turns, numbers.Rational):",
+           "if not isinstance(turns, numbers.Real):",
+           "tests/test_angles.py::TestPhaseAngle::test_from_turns_refuses_what_is_not_rational"),
+    Mutant("PhaseSettings accepts no rows", "src/ghzport/closed.py",
+           "if not rows:", "if False:",
+           "tests/test_quantum.py::TestPhaseSettings::test_no_rows_are_rejected"),
+    Mutant("PhaseSettings accepts an entry that is no PhaseAngle", "src/ghzport/closed.py",
+           "if not isinstance(angle, PhaseAngle):", "if False:",
+           "tests/test_quantum.py::TestPhaseSettings::"
+           "test_an_entry_that_is_no_phase_angle_is_rejected"),
+    Mutant("SettingsCatalog accepts no stations", "src/ghzport/lhv.py",
+           "if not station_settings:", "if False:",
+           "tests/test_lhv.py::test_a_catalog_without_stations_is_rejected"),
+    Mutant("SettingsCatalog accepts a station without settings", "src/ghzport/lhv.py",
+           "if not settings:", "if False:",
+           "tests/test_lhv.py::test_a_catalog_station_without_settings_is_rejected"),
+    Mutant("MultiportMatrix checks only its row count", "src/ghzport/multiport.py",
+           "if entries.shape != (ports, ports):", "if len(entries) != ports:",
+           "tests/test_multiport.py::test_matrix_of_another_shape_is_rejected"),
+    Mutant("verify_quantum ignores a class mismatch", "src/ghzport/paradox.py",
+           "if correlation.exact_class != experiment.expected:", "if False:",
+           "tests/test_paradox.py::TestVerifyQuantum::test_a_wrong_expected_class_is_named"),
+    Mutant("verified ignores full_model_count", "src/ghzport/paradox.py",
+           "return self.contradiction and self.full_model_count in (None, 0)",
+           "return self.contradiction",
+           "tests/test_paradox.py::TestVerified::test_hand_built_reports"),
+    Mutant("the paradox text takes a missing forced value for one", "src/ghzport/text.py",
+           'if record["forced_pattern"] is not None:', "if True:",
+           "tests/test_cli.py::TestParadox::test_a_report_with_no_forced_value_says_so"),
     Mutant("SettingsCatalog accepts a shorter setting", "src/ghzport/lhv.py",
            "if len(row) != ports:", "if len(row) > ports:",
            "tests/test_lhv.py::test_catalog_settings_of_another_length_are_rejected"),
